@@ -18,12 +18,12 @@ from .thresholds import build_extremal, threshold, threshold_cubic
 from .toughness import EXHAUSTIVE_LIMIT, toughness_exact
 from .verify import (
     certify,
-    report_lines,
     verify_join_maximizer,
     verify_quotient_embedding,
     verify_subgraph_monotonicity,
     verify_theorem,
     verify_threshold_identities,
+    write_report,
 )
 
 __all__ = ["run", "main"]
@@ -162,8 +162,7 @@ def _cmd_verify_theorem(args) -> int:
                 log_curiosities=args.curiosities,
                 allow_order_8=args.allow_order_8,
             )
-            for line in report_lines(summary):
-                stream.write(line + "\n")
+            write_report(summary, stream)
             failed = failed or not summary.ok
             print(
                 f"n={n} t={args.t}: connected={summary.counts['connected']} "
@@ -207,8 +206,7 @@ def _cmd_verify_lemmas(args) -> int:
                 )
             )
         for summary in suites:
-            for line in report_lines(summary):
-                stream.write(line + "\n")
+            write_report(summary, stream)
             failed = failed or not summary.ok
             print(
                 f"{summary.check}: counts={summary.counts} "

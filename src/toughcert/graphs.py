@@ -149,15 +149,6 @@ def _component_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     return comps
 
 
-def _component_count(adj: tuple[int, ...], remaining: int) -> int:
-    count = 0
-    rem = remaining
-    while rem:
-        rem ^= _reach(adj, rem & -rem, rem)
-        count += 1
-    return count
-
-
 def is_connected(g: Graph) -> bool:
     """Whether ``g`` has exactly one component (true for order 1)."""
     full = (1 << g.n) - 1
@@ -188,7 +179,7 @@ def components_after_removal(g: Graph, removed) -> int:
     remaining = ((1 << g.n) - 1) ^ mask
     if remaining == 0:
         raise DomainError("removal leaves no vertices")
-    return _component_count(g.adj, remaining)
+    return len(_component_masks(g.adj, remaining))
 
 
 def _is_clique(adj: tuple[int, ...], mask: int) -> bool:

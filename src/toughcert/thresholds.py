@@ -65,7 +65,9 @@ class Cubic:
         coefficient with ``hi`` at or beyond the top root).  A
         descending grid locates the rightmost sign change, bisection
         narrows it to ``width``, then two Newton steps polish the
-        midpoint without leaving the bracket.
+        midpoint without leaving the bracket.  Bisection also stops once
+        the bracket ends are adjacent floats, which happens before
+        ``width`` for roots above about 512.
         """
         if not hi > lo:
             raise DomainError("empty root bracket")
@@ -87,6 +89,8 @@ class Cubic:
             raise DomainError("no sign change: no root in the bracket")
         while b - a > width:
             mid = (a + b) / 2.0
+            if not a < mid < b:
+                break
             if self(mid) <= 0.0:
                 a = mid
             else:

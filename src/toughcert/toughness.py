@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, _bits, _component_count, is_connected
+from .graphs import Graph, _component_masks, is_connected
 
 __all__ = ["EXHAUSTIVE_LIMIT", "ToughnessResult", "toughness_exact", "is_one_over_t_tough"]
 
@@ -59,6 +59,19 @@ def _check_input(g: Graph, max_order: int) -> None:
         raise DomainError("toughness is defined for connected graphs only")
 
 
+def _cut_counts(g: Graph):
+    """Yield ``(cut, c(G - S))`` for every vertex set S of size 1..n-2,
+    in (size, lexicographic) order.  Consumers stop it on their own
+    rules; ``c`` may be 1 for cuts that do not disconnect."""
+    full = (1 << g.n) - 1
+    for size in range(1, g.n - 1):
+        for cut in combinations(range(g.n), size):
+            smask = 0
+            for v in cut:
+                smask |= 1 << v
+            yield cut, len(_component_masks(g.adj, full ^ smask))
+
+
 def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessResult:
     """Exact toughness of a connected graph of order <= ``max_order``."""
     _check_input(g, max_order)
@@ -68,20 +81,14 @@ def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessRes
         return ToughnessResult(infinite=True)
     best_num = best_den = 0
     witness: tuple[int, ...] | None = None
-    for size in range(1, n - 1):
+    for cut, c in _cut_counts(g):
+        size = len(cut)
         # every later ratio is at least size/(n - size), so stop once
         # even that floor cannot beat the current minimum
         if witness is not None and size * best_den >= best_num * (n - size):
             break
-        for combo in combinations(range(n), size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            c = _component_count(g.adj, full ^ smask)
-            if c < 2:
-                continue
-            if witness is None or size * best_den < best_num * c:
-                best_num, best_den, witness = size, c, combo
+        if c >= 2 and (witness is None or size * best_den < best_num * c):
+            best_num, best_den, witness = size, c, cut
     return ToughnessResult(False, best_num, best_den, witness)
 
 
@@ -100,16 +107,11 @@ def is_one_over_t_tough(
         raise DomainError("t must be positive")
     tn, td = frac.numerator, frac.denominator
     n = g.n
-    full = (1 << n) - 1
-    for size in range(1, n - 1):
+    for cut, c in _cut_counts(g):
+        size = len(cut)
         # c(G - S) <= n - size, so sizes with t*size >= n - size are safe
         if tn * size >= td * (n - size):
             break
-        for combo in combinations(range(n), size):
-            smask = 0
-            for v in combo:
-                smask |= 1 << v
-            c = _component_count(g.adj, full ^ smask)
-            if c >= 2 and tn * size < td * c:
-                return False, combo
+        if c >= 2 and tn * size < td * c:
+            return False, cut
     return True, None

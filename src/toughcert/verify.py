@@ -33,9 +33,7 @@ import numpy as np
 from .errors import DomainError, HypothesisError, SizeLimitError
 from .graphs import (
     Graph,
-    _component_count,
     _extremal_core,
-    _reach,
     from_edges,
     is_connected,
     is_extremal,
@@ -112,6 +110,40 @@ def mask_of_graph(g: Graph) -> int:
     return mask
 
 
+# The vectorised scans hold one graph per array column: edge masks as
+# int64 (one bit per vertex pair, and the mask count 2^C(n,2) below the
+# sign bit) and neighbour rows as uint8 (one bit per vertex), so the
+# scan cap must fit both.
+_ROW_BITS = np.iinfo(np.uint8).bits
+assert _SCAN_HARD_MAX <= _ROW_BITS
+assert _SCAN_HARD_MAX * (_SCAN_HARD_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
+
+
+def _decode(n: int, masks: np.ndarray) -> np.ndarray:
+    """Neighbour rows, shape ``(n, masks.size)`` and dtype uint8, of the
+    int64 edge ``masks`` read in ``graph_from_mask``'s pair order."""
+    if n > _ROW_BITS:
+        raise SizeLimitError(f"uint8 neighbour rows hold at most {_ROW_BITS} vertices")
+    rows = np.zeros((n, masks.size), dtype=np.uint8)
+    for e, (i, j) in enumerate(_edge_order(n)):
+        bit = ((masks >> e) & 1).astype(np.uint8)
+        rows[i] |= bit << j
+        rows[j] |= bit << i
+    return rows
+
+
+def _grow(rows: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """Closure of the vertex masks ``seed`` (one per column of ``rows``)
+    under adjacency: n - 1 sweeps over the vertices reach every path."""
+    n = rows.shape[0]
+    reach = seed.copy()
+    for _ in range(n - 1):
+        for v in range(n):
+            has = (reach >> v) & np.uint8(1)
+            reach |= rows[v] * has
+    return reach
+
+
 def enumerate_connected(n: int):
     """Yield every connected labeled graph of order ``n`` in increasing
     edge-mask order.  Guarded at order 8 (2^28 masks)."""
@@ -119,19 +151,11 @@ def enumerate_connected(n: int):
         raise DomainError("order must be a positive integer")
     if n > _SCAN_HARD_MAX:
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
-    order = _edge_order(n)
-    full = (1 << n) - 1
-    for mask in range(1 << len(order)):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            e = low.bit_length() - 1
-            m ^= low
-            i, j = order[e]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        if _reach(tuple(adj), 1, full) == full:
+    total = 1 << (n * (n - 1) // 2)
+    for lo in range(0, total, 1 << 16):
+        rows = _decode(n, np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64))
+        sel = _grow(rows, np.ones(rows.shape[1], dtype=np.uint8)) == (1 << n) - 1
+        for adj in rows[:, sel].T.tolist():
             yield Graph(n, tuple(adj))
 
 
@@ -173,29 +197,32 @@ def certify(
 ) -> CertificateReport:
     """Apply the spectral sufficient condition for 1/t-toughness.
 
-    Verdicts: ``certified-tough`` when the largest adjacency eigenvalue
-    clears the threshold and the graph is not the known sharpness
-    example; ``exceptional`` when it is that example (which is not
-    1/t-tough despite meeting the threshold); ``inconclusive`` when the
-    eigenvalue falls short, in which case the condition simply does not
-    apply.  ``cross_check=None`` runs the exact toughness oracle
-    automatically for orders <= 10; ``True`` forces it (subject to the
-    exhaustive limit); ``False`` skips it.
+    Verdicts: ``exceptional`` when the graph is the known sharpness
+    example (which is not 1/t-tough despite meeting the threshold);
+    otherwise ``certified-tough`` when the largest adjacency eigenvalue
+    is at least the threshold plus ``epsilon``, and ``inconclusive``
+    when it is not, in which case the condition simply does not apply.
+    ``epsilon`` must be nonnegative: it can only narrow the claim.
+    ``cross_check=None`` runs the exact toughness oracle automatically
+    for orders <= 10; ``True`` forces it (subject to the exhaustive
+    limit); ``False`` skips it.
     """
     if not isinstance(t, int) or t < 1:
         raise HypothesisError("t must be a positive integer")
+    if not epsilon >= 0:
+        raise DomainError("epsilon must be nonnegative")
     if g.n < t + 2:
         raise HypothesisError(f"order {g.n} below t + 2 = {t + 2}")
     if not is_connected(g):
         raise HypothesisError("certification requires a connected graph")
     lam = spectral_radius(g, tol=tol)
     eta = threshold(t, g.n).value
-    if lam < eta - epsilon:
-        verdict = VERDICT_INCONCLUSIVE
-    elif is_extremal(g, t):
+    if is_extremal(g, t):
         verdict = VERDICT_EXCEPTIONAL
-    else:
+    elif lam >= eta + epsilon:
         verdict = VERDICT_TOUGH
+    else:
+        verdict = VERDICT_INCONCLUSIVE
     cross: dict | None = None
     if cross_check or (cross_check is None and g.n <= 10):
         tough, witness = is_one_over_t_tough(g, t)
@@ -274,23 +301,16 @@ _TABLES: dict[int, np.ndarray] = {}
 
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
-    by edge mask.  uint8, built once per process."""
+    by edge mask.  uint8, built once per process: a vertex is counted
+    when its component has no lower-numbered vertex."""
     tab = _TABLES.get(r)
     if tab is not None:
         return tab
-    order = _edge_order(r)
-    out = np.empty(1 << len(order), dtype=np.uint8)
-    for mask in range(out.size):
-        adj = [0] * r
-        m = mask
-        while m:
-            low = m & -m
-            e = low.bit_length() - 1
-            m ^= low
-            i, j = order[e]
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        out[mask] = _component_count(tuple(adj), (1 << r) - 1)
+    rows = _decode(r, np.arange(1 << (r * (r - 1) // 2), dtype=np.int64))
+    out = np.zeros(rows.shape[1], dtype=np.uint8)
+    for v in range(r):
+        comp = _grow(rows, np.full(rows.shape[1], 1 << v, dtype=np.uint8))
+        out += (comp & np.uint8((1 << v) - 1)) == 0
     _TABLES[r] = out
     return out
 
@@ -306,19 +326,10 @@ def _scan_chunk(args) -> dict:
     edge_pos = {(i, j): e for e, (i, j) in enumerate(order)}
     masks = np.arange(lo, hi, dtype=np.int64)
 
-    # per-vertex neighbor bitmasks for the whole range at once
-    adjs = np.zeros((n, masks.size), dtype=np.uint8)
-    for e, (i, j) in enumerate(order):
-        bit = ((masks >> e) & 1).astype(np.uint8)
-        adjs[i] |= bit << j
-        adjs[j] |= bit << i
-
-    # connectivity: grow the reachable set of vertex 0 n-1 times
-    reach = np.ones(masks.size, dtype=np.uint8)
-    for _ in range(n - 1):
-        for v in range(n):
-            has = (reach >> v) & np.uint8(1)
-            reach |= adjs[v] * has
+    # per-vertex neighbor bitmasks for the whole range at once, then
+    # connectivity as the reach of vertex 0
+    adjs = _decode(n, masks)
+    reach = _grow(adjs, np.ones(masks.size, dtype=np.uint8))
     sel = np.nonzero(reach == np.uint8((1 << n) - 1))[0]
     cmasks = masks[sel]
     cadj = adjs[:, sel]
@@ -360,12 +371,15 @@ def _scan_chunk(args) -> dict:
     exceptional_g6: list[str] = []
     eigensolves = 0
 
-    def ctx(i: int, lam: float | None = None) -> dict:
+    def graph(i) -> Graph:
+        return Graph(n, tuple(int(row) for row in cadj[:, i]))
+
+    def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
             "check": "theorem",
             "n": n,
             "t": t,
-            "graph6": to_graph6(graph_from_mask(n, int(cmasks[i]))),
+            "graph6": g6,
             "threshold": _round12(eta),
         }
         if lam is not None:
@@ -373,14 +387,14 @@ def _scan_chunk(args) -> dict:
         return rec
 
     for i in np.nonzero(cand)[0]:
-        rows = tuple(int(cadj[v, i]) for v in range(n))
-        if not _extremal_core(rows, n, t):
+        g = graph(i)
+        if not _extremal_core(g.adj, n, t):
             continue
         if violated[i]:
             exceptional[i] = True
         else:
             failures.append(
-                {**ctx(int(i)), "kind": "extremal-tough",
+                {**ctx(to_graph6(g)), "kind": "extremal-tough",
                  "detail": "sharpness example came out 1/t-tough"}
             )
 
@@ -393,27 +407,29 @@ def _scan_chunk(args) -> dict:
     needs = violated & ~exceptional & (ub >= eta - eps_strict)
     bound_skips = int((violated & ~exceptional & ~needs).sum())
     for i in np.nonzero(needs)[0]:
-        lam = spectral_radius(graph_from_mask(n, int(cmasks[i])), tol=tol)
+        g = graph(i)
+        lam = spectral_radius(g, tol=tol)
         eigensolves += 1
         if lam > eta + eps_eq:
             failures.append(
-                {**ctx(int(i), lam), "kind": "spectral-bound",
+                {**ctx(to_graph6(g), lam), "kind": "spectral-bound",
                  "detail": "non-tough non-extremal graph at or above the threshold"}
             )
         elif lam >= eta - eps_strict:
             incidents.append(
-                {**ctx(int(i), lam), "kind": "tolerance-band",
+                {**ctx(to_graph6(g), lam), "kind": "tolerance-band",
                  "detail": "eigenvalue within the ambiguity band of the threshold"}
             )
 
     for i in np.nonzero(exceptional)[0]:
-        lam = spectral_radius(graph_from_mask(n, int(cmasks[i])), tol=tol)
+        g = graph(i)
+        lam = spectral_radius(g, tol=tol)
         eigensolves += 1
-        g6 = to_graph6(graph_from_mask(n, int(cmasks[i])))
+        g6 = to_graph6(g)
         exceptional_g6.append(g6)
         if abs(lam - eta) > eps_eq:
             failures.append(
-                {**ctx(int(i), lam), "kind": "sharpness",
+                {**ctx(g6, lam), "kind": "sharpness",
                  "detail": "sharpness example eigenvalue differs from the threshold"}
             )
 
@@ -421,11 +437,12 @@ def _scan_chunk(args) -> dict:
         lb = np.maximum(2.0 * mcounts / n, np.sqrt(maxdeg))
         near = ~violated & (ub >= eta - eps_eq) & (lb <= eta + eps_eq)
         for i in np.nonzero(near)[0]:
-            lam = spectral_radius(graph_from_mask(n, int(cmasks[i])), tol=tol)
+            g = graph(i)
+            lam = spectral_radius(g, tol=tol)
             eigensolves += 1
             if abs(lam - eta) <= eps_eq:
                 incidents.append(
-                    {**ctx(int(i), lam), "kind": "equality-curiosity",
+                    {**ctx(to_graph6(g), lam), "kind": "equality-curiosity",
                      "detail": "tough graph with eigenvalue at the threshold"}
                 )
 

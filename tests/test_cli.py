@@ -20,6 +20,13 @@ def test_threshold_json(capsys):
     assert rec["bracket"][0] <= rec["threshold"] <= rec["bracket"][1]
 
 
+def test_threshold_large_order(capsys):
+    # roots above 512 sit where adjacent floats are wider than the
+    # bisection width
+    assert run(["threshold", "--t", "2", "--n", "600"]) == 0
+    assert "threshold(t=2, n=600) = 597.000005602" in capsys.readouterr().out
+
+
 def test_threshold_domain_error_exit_3(capsys):
     assert run(["threshold", "--t", "3", "--n", "4"]) == 3
     assert "error:" in capsys.readouterr().err
@@ -88,6 +95,11 @@ def test_certify_json_lines(capsys):
     assert run(["certify", "--t", "1", "--no-cross-check", "C{"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["cross_check"] is None
+
+
+def test_certify_negative_epsilon_exit_3(capsys):
+    assert run(["certify", "--t", "1", "--epsilon", "-0.5", "C~"]) == 3
+    assert "epsilon" in capsys.readouterr().err
 
 
 def test_bad_graph6_exit_2(capsys):

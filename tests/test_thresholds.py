@@ -126,6 +126,17 @@ def test_threshold_residual_is_tiny():
             1.0, *(abs(c) for c in cubic.coefficients()))
 
 
+def test_threshold_returns_past_float_spacing():
+    # above 512 adjacent floats are more than 1e-13 apart, so the
+    # bisection cannot narrow its bracket to that width and must stop
+    # on adjacent ends instead
+    for n in (520, 600, 1000):
+        res = threshold(2, n)
+        top = cubic_roots(threshold_cubic(2, n).coefficients())[-1]
+        assert abs(res.value - top) <= 1e-9 * top
+        assert res.bracket[0] <= res.value <= res.bracket[1]
+
+
 def test_quotient_cubic_reduces_to_threshold_cubic_at_s1():
     for t in range(1, 5):
         for n in range(t + 2, 16):

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toughcert import (
@@ -20,6 +21,8 @@ from toughcert.verify import (
     VERDICT_EXCEPTIONAL,
     VERDICT_INCONCLUSIVE,
     VERDICT_TOUGH,
+    _comps_table,
+    _decode,
     _partitions_desc,
     enumerate_connected,
     graph_from_mask,
@@ -32,7 +35,7 @@ from toughcert.verify import (
     verify_threshold_identities,
 )
 
-from oracles import connected_count, labelings_masks
+from oracles import brute_components, connected_count, eig_radius, labelings_masks
 
 
 def test_mask_round_trip():
@@ -41,6 +44,32 @@ def test_mask_round_trip():
         n = rng.randint(1, 9)
         mask = rng.getrandbits(n * (n - 1) // 2)
         assert mask_of_graph(graph_from_mask(n, mask)) == mask
+
+
+def test_decode_matches_scalar_decoder():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        m = n * (n - 1) // 2
+        masks = np.array(
+            [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)], dtype=np.int64
+        )
+        rows = _decode(n, masks)
+        for k, mask in enumerate(masks):
+            assert tuple(int(x) for x in rows[:, k]) == graph_from_mask(n, int(mask)).adj
+
+
+def test_decode_refuses_orders_past_its_row_width():
+    # uint8 rows have no bit for vertex 8: 1 << 8 would wrap to 0
+    with pytest.raises(SizeLimitError):
+        _decode(9, np.array([1 << 35], dtype=np.int64))
+
+
+def test_comps_table_matches_component_oracle():
+    for r in range(1, 6):
+        table = _comps_table(r)
+        assert table.size == 1 << (r * (r - 1) // 2)
+        for mask in range(table.size):
+            assert table[mask] == brute_components(graph_from_mask(r, mask), set())
 
 
 def test_enumerate_connected_counts():
@@ -78,6 +107,32 @@ def test_certify_verdicts():
     d = rep.to_dict()
     assert json.dumps(d, sort_keys=True)
     assert d["verdict"] == VERDICT_INCONCLUSIVE
+
+
+def test_certify_epsilon_only_narrows_the_claim():
+    # the order-12 sharpness example minus a clique edge: not 1-tough
+    # (the hub is a cut), with lambda1 = 9.8406 below eta = 10.0092
+    g = build_extremal(1, 12)
+    h = from_edges(12, [e for e in g.edges() if e != (1, 2)])
+    assert not is_one_over_t_tough(h, 1)[0]
+    rep = certify(h, 1, epsilon=0.5, cross_check=False)
+    assert rep.verdict == VERDICT_INCONCLUSIVE
+    assert abs(rep.lambda1 - eig_radius(h)) <= 1e-9
+    assert rep.lambda1 < rep.threshold
+    # a tough graph clears the threshold, but not the threshold plus a
+    # wide epsilon
+    k = complete(12)
+    assert certify(k, 1, cross_check=False).verdict == VERDICT_TOUGH
+    assert certify(k, 1, epsilon=0.0, cross_check=False).verdict == VERDICT_TOUGH
+    margin = eig_radius(k) - certify(k, 1).threshold
+    assert certify(k, 1, epsilon=2 * margin, cross_check=False).verdict == VERDICT_INCONCLUSIVE
+    # the sharpness example is recognised by structure, whatever epsilon
+    assert certify(g, 1, epsilon=0.5).verdict == VERDICT_EXCEPTIONAL
+    # a negative epsilon would widen the claim
+    with pytest.raises(DomainError):
+        certify(complete(5), 1, epsilon=-1e-9)
+    with pytest.raises(DomainError):
+        certify(complete(5), 1, epsilon=float("nan"))
 
 
 def test_certify_cross_check_modes():
