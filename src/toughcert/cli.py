@@ -87,7 +87,7 @@ def _cmd_threshold(args) -> int:
 
 def _cmd_extremal(args) -> int:
     g = build_extremal(args.t, args.n)
-    lam = spectral_radius(g, tol=args.tol)
+    lam = spectral_radius(g)
     row = {
         "graph6": to_graph6(g),
         "n": g.n,
@@ -109,7 +109,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_spectral_radius(args) -> int:
     for g6, g in _read_graphs(args):
-        print(f"{g6}\t{_fmt(spectral_radius(g, tol=args.tol))}")
+        print(f"{g6}\t{_fmt(spectral_radius(g))}")
     return 0
 
 
@@ -133,13 +133,8 @@ def _cmd_toughness(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cross = None
-    if args.cross_check:
-        cross = True
-    elif args.no_cross_check:
-        cross = False
     for _, g in _read_graphs(args):
-        rep = certify(g, args.t, epsilon=args.epsilon, tol=args.tol, cross_check=cross)
+        rep = certify(g, args.t, epsilon=args.epsilon, cross_check=args.cross_check)
         print(json.dumps(rep.to_dict(), sort_keys=True))
     return 0
 
@@ -158,7 +153,6 @@ def _cmd_verify_theorem(args) -> int:
                 workers=args.workers,
                 eps_eq=args.eps_eq,
                 eps_strict=args.eps_strict,
-                tol=args.tol,
                 log_curiosities=args.curiosities,
                 allow_order_8=args.allow_order_8,
             )
@@ -239,13 +233,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="the sharpness example for (t, n)")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("plain", "json"), default="plain")
     p.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("spectral-radius", help="largest adjacency eigenvalue")
     add_graph_input(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_spectral_radius)
 
     p = sub.add_parser("toughness", help="exact toughness by exhaustive cuts")
@@ -257,11 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_graph_input(p)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=1e-9)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--cross-check", action="store_true",
-                   help="force the exhaustive toughness oracle")
-    p.add_argument("--no-cross-check", action="store_true",
-                   help="skip the exhaustive toughness oracle")
+    cross = p.add_mutually_exclusive_group()
+    cross.add_argument("--cross-check", action="store_const", const=True,
+                       help="force the exhaustive toughness oracle")
+    cross.add_argument("--no-cross-check", action="store_const", const=False,
+                       dest="cross_check", help="skip the exhaustive toughness oracle")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser(
@@ -275,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--eps-eq", type=float, default=1e-9)
     p.add_argument("--eps-strict", type=float, default=1e-9)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--curiosities", action="store_true",
                    help="log tough graphs whose eigenvalue sits at the threshold")
     p.add_argument("--allow-order-8", action="store_true", dest="allow_order_8")

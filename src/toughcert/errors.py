@@ -34,4 +34,4 @@ class Graph6ParseError(ValueError):
 
 
 class ConvergenceError(ArithmeticError):
-    """An iterative eigenvalue routine failed to reach its tolerance."""
+    """LAPACK's symmetric eigensolver did not converge."""

@@ -1,22 +1,19 @@
 """Dense symmetric eigenvalue routines sized for small graphs.
 
-Two independent solvers are kept deliberately: a shifted power
-iteration for the largest adjacency eigenvalue, and a cyclic Jacobi
-sweep for full spectra.  The power iteration runs on A + I so that
-bipartite graphs (where -lambda_1 is also an eigenvalue and the plain
-iteration oscillates) still converge to the Perron value; the residual
-is always measured on A itself.
+Every eigenvalue comes from LAPACK's symmetric solver through
+``numpy.linalg``: ``eigvalsh`` for the largest adjacency eigenvalue and
+``eigh`` for full spectra, whose residual ||AV - V diag(w)||_F is
+measured and reported.  LAPACK failures surface as ``ConvergenceError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SizeLimitError
-from .graphs import Graph, _bits
+from .graphs import Graph
 
 __all__ = [
     "DENSE_LIMIT",
@@ -35,16 +32,16 @@ DENSE_LIMIT = 512
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix as float64."""
-    a = np.zeros((g.n, g.n))
-    for v, row in enumerate(g.adj):
-        for u in _bits(row):
-            a[v, u] = 1.0
-    return a
+    width = (g.n + 7) // 8
+    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8), bitorder="little")
+    return bits.reshape(g.n, 8 * width)[:, : g.n].astype(float)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in nonincreasing order plus the achieved tolerance."""
+    """Eigenvalues in nonincreasing order plus the measured residual
+    ||AV - V diag(w)||_F of the eigendecomposition."""
 
     values: tuple[float, ...]
     tolerance: float
@@ -54,39 +51,19 @@ class Spectrum:
         return self.values[0]
 
 
-def spectral_radius(g: Graph, tol: float = 1e-12, max_iter: int = 1_000_000) -> float:
-    """Largest adjacency eigenvalue of ``g``.
-
-    Power iteration from the all-ones vector, accepted once the
-    infinity-norm residual ||Av - lambda v|| drops below
-    ``tol * max(1, lambda)``.  Falls back to the Jacobi solver if the
-    iteration stalls; only both failing raises.
-    """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    n = g.n
-    if all(row == 0 for row in g.adj):
-        return 0.0
-    a = adjacency_matrix(g)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(max_iter):
-        w = a @ v
-        lam = float(v @ w)
-        if float(np.max(np.abs(w - lam * v))) <= tol * max(1.0, abs(lam)):
-            return lam
-        v = w + v
-        v /= float(np.linalg.norm(v))
-    return full_spectrum(a, tol=tol).radius
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue of ``g``."""
+    try:
+        return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
 
 
-def full_spectrum(
-    matrix, tol: float = 1e-12, dense_limit: int = DENSE_LIMIT
-) -> Spectrum:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def full_spectrum(matrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:
+    """All eigenvalues of a symmetric matrix.
 
-    Sweeps until the off-diagonal Frobenius norm falls below
-    ``tol * max(1, ||A||_F)``.  Input must be square, symmetric, finite
-    and of dimension at most ``dense_limit``.
+    Input must be square, symmetric, finite and of dimension at most
+    ``dense_limit``.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -100,48 +77,12 @@ def full_spectrum(
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, scale):
         raise DomainError("matrix must be symmetric")
     a = (a + a.T) / 2.0
-    if m == 1:
-        return Spectrum((float(a[0, 0]),), 0.0)
-    target = tol * max(1.0, scale)
-    off = _off_norm(a)
-    for _ in range(60):
-        if off <= target:
-            break
-        skip = off / (m * m)
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                newp = c * colp - s * colq
-                newq = s * colp + c * colq
-                a[:, p] = newp
-                a[p, :] = newp
-                a[:, q] = newq
-                a[q, :] = newq
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-        off = _off_norm(a)
-    else:
-        raise ConvergenceError("Jacobi sweeps did not reach tolerance")
-    values = tuple(sorted((float(x) for x in np.diag(a)), reverse=True))
-    return Spectrum(values, off)
-
-
-def _off_norm(a: np.ndarray) -> float:
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
+    residual = float(np.linalg.norm(a @ v - v * w))
+    return Spectrum(tuple(float(x) for x in w[::-1]), residual)
 
 
 def _check_partition(m: int, blocks) -> list[list[int]]:
@@ -189,12 +130,12 @@ def is_equitable(matrix, blocks, tol: float = 1e-9) -> bool:
     return True
 
 
-def quotient_spectrum(matrix, blocks, tol: float = 1e-12) -> Spectrum:
+def quotient_spectrum(matrix, blocks) -> Spectrum:
     """Eigenvalues of the quotient matrix of a symmetric ``matrix``.
 
     The quotient itself is not symmetric, but scaling by the square
     roots of the block sizes is a similarity onto a symmetric matrix,
-    so the Jacobi solver applies.
+    so the symmetric solver applies.
     """
     a = np.asarray(matrix, dtype=float)
     q = quotient_matrix(a, blocks)
@@ -205,16 +146,16 @@ def quotient_spectrum(matrix, blocks, tol: float = 1e-12) -> Spectrum:
     d = np.sqrt(sizes)
     sym = q * d[:, None] / d[None, :]
     sym = (sym + sym.T) / 2.0
-    return full_spectrum(sym, tol=tol)
+    return full_spectrum(sym)
 
 
-def quotient_radius_check(g: Graph, blocks, tol: float = 1e-12) -> tuple[float, float]:
+def quotient_radius_check(g: Graph, blocks) -> tuple[float, float]:
     """(largest adjacency eigenvalue, largest quotient eigenvalue) for an
     equitable partition of ``g``; the two agree for equitable partitions.
     Rejects non-equitable partitions."""
     a = adjacency_matrix(g)
     if not is_equitable(a, blocks):
         raise DomainError("partition is not equitable")
-    lam = spectral_radius(g, tol=tol)
-    qlam = quotient_spectrum(a, blocks, tol=tol).radius
+    lam = spectral_radius(g)
+    qlam = quotient_spectrum(a, blocks).radius
     return lam, qlam

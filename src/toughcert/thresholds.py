@@ -108,6 +108,10 @@ class Cubic:
         return root, (a, b)
 
 
+# gamma_6 = 6u / (1 - 6u), with u = 2^-53 the unit roundoff of float64
+_GAMMA_6 = 6 * 2.0**-53 / (1 - 6 * 2.0**-53)
+
+
 def _check_t_n(t: int, n: int) -> None:
     if not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
@@ -141,8 +145,14 @@ def threshold(t: int, n: int) -> ThresholdResult:
     """
     cubic = threshold_cubic(t, n)
     value, bracket = cubic.largest_root_in(0.0, float(n - 1))
+    # Horner's a-priori rounding bound gamma_6 * sum |a_i| |x|^i for a
+    # cubic (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 5.1): it grows like n^3, as the evaluation error does
     resid = abs(cubic(value))
-    bound = 1e-10 * max(1.0, *(abs(c) for c in cubic.coefficients()))
+    x = abs(value)
+    bound = _GAMMA_6 * (
+        ((abs(cubic.a3) * x + abs(cubic.a2)) * x + abs(cubic.a1)) * x + abs(cubic.a0)
+    )
     if resid > bound:
         raise ArithmeticError(f"threshold root residual {resid:.3e} above {bound:.3e}")
     return ThresholdResult(t, n, value, bracket)

@@ -192,7 +192,6 @@ def certify(
     g: Graph,
     t: int,
     epsilon: float = 1e-9,
-    tol: float = 1e-12,
     cross_check: bool | None = None,
 ) -> CertificateReport:
     """Apply the spectral sufficient condition for 1/t-toughness.
@@ -215,7 +214,7 @@ def certify(
         raise HypothesisError(f"order {g.n} below t + 2 = {t + 2}")
     if not is_connected(g):
         raise HypothesisError("certification requires a connected graph")
-    lam = spectral_radius(g, tol=tol)
+    lam = spectral_radius(g)
     eta = threshold(t, g.n).value
     if is_extremal(g, t):
         verdict = VERDICT_EXCEPTIONAL
@@ -321,7 +320,7 @@ def _scan_chunk(args) -> dict:
     Pure function of its arguments, so chunk boundaries and worker
     counts cannot change the merged result.
     """
-    (n, t, lo, hi, eta, eps_eq, eps_strict, tol, log_curiosities) = args
+    (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
     order = _edge_order(n)
     edge_pos = {(i, j): e for e, (i, j) in enumerate(order)}
     masks = np.arange(lo, hi, dtype=np.int64)
@@ -408,7 +407,7 @@ def _scan_chunk(args) -> dict:
     bound_skips = int((violated & ~exceptional & ~needs).sum())
     for i in np.nonzero(needs)[0]:
         g = graph(i)
-        lam = spectral_radius(g, tol=tol)
+        lam = spectral_radius(g)
         eigensolves += 1
         if lam > eta + eps_eq:
             failures.append(
@@ -423,7 +422,7 @@ def _scan_chunk(args) -> dict:
 
     for i in np.nonzero(exceptional)[0]:
         g = graph(i)
-        lam = spectral_radius(g, tol=tol)
+        lam = spectral_radius(g)
         eigensolves += 1
         g6 = to_graph6(g)
         exceptional_g6.append(g6)
@@ -438,7 +437,7 @@ def _scan_chunk(args) -> dict:
         near = ~violated & (ub >= eta - eps_eq) & (lb <= eta + eps_eq)
         for i in np.nonzero(near)[0]:
             g = graph(i)
-            lam = spectral_radius(g, tol=tol)
+            lam = spectral_radius(g)
             eigensolves += 1
             if abs(lam - eta) <= eps_eq:
                 incidents.append(
@@ -467,7 +466,6 @@ def verify_theorem(
     workers: int = 1,
     eps_eq: float = 1e-9,
     eps_strict: float = 1e-9,
-    tol: float = 1e-12,
     log_curiosities: bool = False,
     allow_order_8: bool = False,
     chunk_size: int = 1 << 18,
@@ -498,7 +496,7 @@ def verify_theorem(
     total = 1 << (n * (n - 1) // 2)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     argv = [
-        (n, t, lo, hi, eta, eps_eq, eps_strict, tol, log_curiosities)
+        (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities)
         for lo, hi in ranges
     ]
     if workers > 1 and len(argv) > 1:
@@ -569,7 +567,7 @@ def _partitions_desc(total: int, parts: int, cap: int | None = None):
 
 
 def verify_join_maximizer(
-    n: int, s: int, c: int, eps: float = 1e-9, tol: float = 1e-12
+    n: int, s: int, c: int, eps: float = 1e-9
 ) -> VerificationSummary:
     """Among all K_s v (K_{p1} u ... u K_{pc}) of order ``n`` with ``c``
     clique parts, the shape (n-s-c+1, 1, ..., 1) uniquely maximizes the
@@ -581,11 +579,11 @@ def verify_join_maximizer(
         raise DomainError("need s >= 1, c >= 1 and n >= s + c")
     started = time.perf_counter()
     best_shape = (n - s - c + 1,) + (1,) * (c - 1)
-    best = spectral_radius(build_join_cliques(JoinCliqueSpec(s, best_shape)), tol=tol)
+    best = spectral_radius(build_join_cliques(JoinCliqueSpec(s, best_shape)))
     failures: list[dict] = []
     checked = 0
     for shape in _partitions_desc(n - s, c):
-        lam = spectral_radius(build_join_cliques(JoinCliqueSpec(s, shape)), tol=tol)
+        lam = spectral_radius(build_join_cliques(JoinCliqueSpec(s, shape)))
         checked += 1
         base = {
             "check": "join-maximizer",
@@ -620,7 +618,6 @@ def verify_quotient_embedding(
     t_max: int = 4,
     n_max: int = 24,
     eps: float = 1e-8,
-    tol: float = 1e-12,
 ) -> VerificationSummary:
     """For the join family K_s v (K_{n-ts-s} u tsK1) under its three
     orbit blocks: the partition is equitable, the quotient's largest
@@ -648,8 +645,8 @@ def verify_quotient_embedding(
                          "detail": "orbit partition failed the equitability test"}
                     )
                     continue
-                lam = spectral_radius(g, tol=tol)
-                qspec = quotient_spectrum(a, blocks, tol=tol)
+                lam = spectral_radius(g)
+                qspec = quotient_spectrum(a, blocks)
                 if abs(lam - qspec.radius) > eps:
                     failures.append(
                         {**base, "kind": "quotient-radius",
@@ -658,7 +655,7 @@ def verify_quotient_embedding(
                          "detail": "quotient and graph disagree on the largest eigenvalue"}
                     )
                 if n <= 12:
-                    full = full_spectrum(a, tol=tol).values
+                    full = full_spectrum(a).values
                     for q in qspec.values:
                         if min(abs(q - x) for x in full) > eps:
                             failures.append(
@@ -706,7 +703,6 @@ def verify_subgraph_monotonicity(
     max_order: int = 12,
     margin: float = 1e-10,
     seed: int = 20260814,
-    tol: float = 1e-12,
 ) -> VerificationSummary:
     """Deleting an edge or a vertex from a connected graph (keeping it
     connected) strictly lowers the largest adjacency eigenvalue.
@@ -732,8 +728,8 @@ def verify_subgraph_monotonicity(
             h = _delete_edge(g, choice[1], choice[2])
         else:
             h = _delete_vertex(g, choice[1])
-        lam_g = spectral_radius(g, tol=tol)
-        lam_h = spectral_radius(h, tol=tol)
+        lam_g = spectral_radius(g)
+        lam_h = spectral_radius(h)
         if not lam_g > lam_h + margin:
             failures.append(
                 {
@@ -761,7 +757,6 @@ def verify_threshold_identities(
     t_max: int = 5,
     n_max: int = 40,
     eps: float = 1e-9,
-    tol: float = 1e-12,
 ) -> VerificationSummary:
     """Polynomial facts linking the quotient cubic to the certification
     cubic across the feasible (s, t, n) grid:
@@ -788,9 +783,7 @@ def verify_threshold_identities(
                 qc = quotient_cubic(s, t, n)
                 root, _ = qc.largest_root_in(0.0, float(n - 1))
                 shape = (n - t * s - s,) + (1,) * (t * s)
-                lam = spectral_radius(
-                    build_join_cliques(JoinCliqueSpec(s, shape)), tol=tol
-                )
+                lam = spectral_radius(build_join_cliques(JoinCliqueSpec(s, shape)))
                 if abs(root - lam) > eps:
                     failures.append(
                         {**base, "kind": "quotient-root",

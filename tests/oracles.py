@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own algorithms:
 component counts run on vertex sets instead of bitmasks, eigenvalues
-come from numpy's LAPACK bindings instead of the hand-written
-iterations, cut enumeration has no pruning, and isomorphism is brute
-permutation search.
+come from numpy's LAPACK bindings on a matrix built entry by entry, and
+``radius_below`` brackets the largest eigenvalue without LAPACK at all,
+in exact rational arithmetic.  Cut enumeration has no pruning, and
+isomorphism is brute permutation search.
 """
 
 from __future__ import annotations
@@ -67,6 +68,29 @@ def eig_radius(g: Graph) -> float:
             if g.adj[v] >> u & 1:
                 a[v, u] = 1.0
     return float(np.linalg.eigvalsh(a)[-1])
+
+
+def radius_below(g: Graph, x: float) -> bool:
+    """Whether every adjacency eigenvalue of ``g`` lies strictly below
+    ``x``.  That holds exactly when xI - A is positive definite, which by
+    Sylvester's criterion holds exactly when Gaussian elimination without
+    pivoting keeps every pivot positive; the elimination runs in exact
+    Fractions."""
+    n = g.n
+    m = [
+        [Fraction(x) if u == v else Fraction(-(g.adj[v] >> u & 1)) for u in range(n)]
+        for v in range(n)
+    ]
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+    return True
 
 
 def eigvals_desc(matrix) -> list[float]:

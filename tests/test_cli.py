@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toughcert import from_edges, to_graph6
 from toughcert.cli import run
 
@@ -25,6 +27,11 @@ def test_threshold_large_order(capsys):
     # bisection width
     assert run(["threshold", "--t", "2", "--n", "600"]) == 0
     assert "threshold(t=2, n=600) = 597.000005602" in capsys.readouterr().out
+
+
+def test_threshold_residual_gate_at_large_order(capsys):
+    assert run(["threshold", "--t", "1", "--n", "1067"]) == 0
+    assert "threshold(t=1, n=1067) = 1065.00000088" in capsys.readouterr().out
 
 
 def test_threshold_domain_error_exit_3(capsys):
@@ -95,6 +102,13 @@ def test_certify_json_lines(capsys):
     assert run(["certify", "--t", "1", "--no-cross-check", "C{"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["cross_check"] is None
+
+
+def test_certify_conflicting_cross_check_flags_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", "--t", "1", "--cross-check", "--no-cross-check", "C{"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_certify_negative_epsilon_exit_3(capsys):

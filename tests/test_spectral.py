@@ -21,7 +21,13 @@ from toughcert import (
 )
 from toughcert.thresholds import build_extremal
 
-from oracles import eig_radius, eigvals_desc, random_graph
+from oracles import (
+    eig_radius,
+    eigvals_desc,
+    radius_below,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def p3():
@@ -45,6 +51,40 @@ def test_spectral_radius_known_values():
     assert abs(spectral_radius(p3()) - math.sqrt(2)) <= 1e-11
     star = join(complete(1), empty(5))
     assert abs(spectral_radius(star) - math.sqrt(5)) <= 1e-11
+    # above order 63 a neighbour row no longer fits one machine word
+    assert abs(spectral_radius(complete(100)) - 99.0) <= 1e-9
+    path = from_edges(70, [(i, i + 1) for i in range(69)])
+    assert abs(spectral_radius(path) - 2 * math.cos(math.pi / 71)) <= 1e-11
+
+
+def _barbell_with_leaf(a, inner):
+    """Two copies of K_a joined by a path through ``inner`` new vertices,
+    plus a leaf on vertex 0.  The two largest eigenvalues differ by only
+    0.03-0.08 on the shapes tested."""
+    n = 2 * a + inner
+    edges = [(i, j) for i in range(a) for j in range(i + 1, a)]
+    edges += [(i, j) for i in range(a + inner, n) for j in range(i + 1, n)]
+    chain = [a - 1, *range(a, a + inner), a + inner]
+    edges += list(zip(chain, chain[1:]))
+    edges.append((0, n))
+    return from_edges(n + 1, edges)
+
+
+def test_spectral_radius_exact_bracket():
+    rng = random.Random(23)
+    graphs = [
+        random_connected_graph(rng, rng.randint(2, 20), rng.uniform(0.2, 0.9))
+        for _ in range(40)
+    ]
+    graphs += [
+        _barbell_with_leaf(a, inner)
+        for a, inners in ((4, range(3, 7)), (5, range(2, 6)), (6, (1, 2, 3)), (7, (1,)))
+        for inner in inners
+    ]
+    for g in graphs:
+        lam = spectral_radius(g)
+        assert radius_below(g, lam + 1e-9)
+        assert not radius_below(g, lam - 1e-9)
 
 
 def test_spectral_radius_matches_lapack_oracle():

@@ -137,6 +137,16 @@ def test_threshold_returns_past_float_spacing():
         assert res.bracket[0] <= res.value <= res.bracket[1]
 
 
+def test_threshold_residual_gate_scales_with_order():
+    # the evaluation error of the cubic at its root grows like n^3, so a
+    # gate proportional to the coefficients (like n) rejected scattered
+    # orders from n = 1030 on
+    for t in range(1, 6):
+        for n in range(t + 2, 3001, 7):
+            res = threshold(t, n)
+            assert res.bracket[0] <= res.value <= res.bracket[1]
+
+
 def test_quotient_cubic_reduces_to_threshold_cubic_at_s1():
     for t in range(1, 5):
         for n in range(t + 2, 16):
