@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 verification failures, 2 malformed graph6
-input (message carries the byte offset), 3 domain or hypothesis
-violations (disconnected input, order too small, size guards).
+input (message carries the line and byte offset), 3 domain or hypothesis
+violations (disconnected input, order too small, size guards) and files
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterator
 
 from .errors import DomainError, Graph6ParseError, SizeLimitError
-from .graphs import Graph, parse_graph6, to_graph6
+from .graphs import Graph, _graph6_records, parse_graph6, to_graph6
 from .spectral import spectral_radius
 from .thresholds import build_extremal, threshold, threshold_cubic
 from .toughness import EXHAUSTIVE_LIMIT, toughness_exact
@@ -33,31 +35,35 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _read_graphs(args) -> list[tuple[str, Graph]]:
-    """Collect (graph6, Graph) pairs from the positional argument, a
-    file, or stdin when the positional is '-'."""
-    texts: list[str] = []
+def _input_lines(args) -> Iterator[str]:
+    """Lines from a file, stdin when the positional is '-', or the
+    positional graph6 string itself."""
     if getattr(args, "file", None):
-        with open(args.file, "r", encoding="ascii") as fh:
-            texts = fh.read().splitlines()
+        # latin-1 maps each byte to one character, so a stray byte is
+        # reported as a graph6 byte error with its offset
+        with open(args.file, "r", encoding="latin-1") as fh:
+            yield from fh
     elif args.graph6 == "-":
-        texts = sys.stdin.read().splitlines()
+        yield from sys.stdin
     elif args.graph6 is not None:
-        texts = [args.graph6]
+        yield args.graph6
     else:
         raise DomainError("no graph given: pass a graph6 string, '-', or --file")
-    out: list[tuple[str, Graph]] = []
-    for lineno, raw in enumerate(texts, start=1):
-        s = raw.strip()
-        if not s or s == ">>graph6<<":
-            continue
+
+
+def _read_graphs(args) -> Iterator[tuple[str, Graph]]:
+    """Yield (graph6, Graph) pairs one line at a time, so each result is
+    printed before later lines are read."""
+    found = False
+    for lineno, s in _graph6_records(_input_lines(args)):
         try:
-            out.append((s, parse_graph6(s)))
+            g = parse_graph6(s)
         except Graph6ParseError as exc:
             raise Graph6ParseError(f"line {lineno}: {exc}", exc.offset) from exc
-    if not out:
+        found = True
+        yield s, g
+    if not found:
         raise DomainError("no graphs in input")
-    return out
 
 
 def _out_stream(path: str | None):
@@ -301,7 +307,7 @@ def run(argv=None) -> int:
     except Graph6ParseError as exc:
         print(f"graph6 parse error at byte {exc.offset}: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, SizeLimitError) as exc:
+    except (DomainError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

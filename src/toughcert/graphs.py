@@ -8,8 +8,12 @@ Also provides the join/disjoint-union constructors and graph6 text I/O.
 
 from __future__ import annotations
 
+import base64
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import DomainError, Graph6ParseError
 
@@ -37,6 +41,22 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _matrix(n: int, rows: Iterable[int]) -> np.ndarray:
+    """Rows in ``[0, 2**n)`` as a 0/1 uint8 matrix; ``m[i, j]`` is bit j of row i."""
+    width = (n + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    bits = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(bits, axis=1, count=n, bitorder="little")
+
+
+def _rows(m: np.ndarray) -> tuple[int, ...]:
+    """Inverse of ``_matrix``: the row bitmasks of a square 0/1 matrix."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    width = 8 * packed.shape[1]  # bits per row, padded to whole bytes
+    whole = int.from_bytes(packed.tobytes(), "little")
+    return tuple((whole >> v * width) & ((1 << width) - 1) for v in range(len(m)))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``."""
@@ -55,10 +75,10 @@ class Graph:
                 raise DomainError(f"adjacency of vertex {v} names a vertex >= n")
             if row >> v & 1:
                 raise DomainError(f"loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            for u in _bits(row):
-                if not self.adj[u] >> v & 1:
-                    raise DomainError(f"asymmetric adjacency between {u} and {v}")
+        m = _matrix(self.n, self.adj)
+        if m.tobytes() != m.T.tobytes():
+            v, u = divmod(int(np.flatnonzero(m > m.T)[0]), self.n)
+            raise DomainError(f"asymmetric adjacency between {u} and {v}")
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -77,9 +97,6 @@ class Graph:
         for i in range(self.n):
             for j in _bits(self.adj[i] >> (i + 1)):
                 yield (i, i + 1 + j)
-
-    def neighbor_mask(self, v: int) -> int:
-        return self.adj[v]
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -131,8 +148,11 @@ def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
     frontier = comp
     while frontier:
         grown = 0
-        for v in _bits(frontier):
-            grown |= adj[v]
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            grown |= adj[low.bit_length() - 1]
+            rest ^= low
         frontier = grown & within & ~comp
         comp |= frontier
     return comp
@@ -230,29 +250,22 @@ def is_extremal(g: Graph, t: int) -> bool:
 #
 # Short-form graph6: one byte n+63 for the order (n <= 62), then the
 # upper triangle of the adjacency matrix read column by column ((0,1),
-# (0,2), (1,2), (0,3), ...), packed big-endian into 6-bit groups, each
-# group offset by 63 into the printable range '?'..'~'.  Trailing pad
-# bits of the last group must be zero.
+# (0,2), (1,2), (0,3), ...), which is the lower triangle _GRAPH6_CELLS
+# read row by row, in base64 with the digits '?'..'~' for 'A'..'/' and
+# no '=' padding.  Trailing pad bits of the last digit must be zero.
+_GRAPH6_CELLS = np.tri(62, 62, -1, dtype=bool)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_NOT_GRAPH6 = re.compile("[^?-~]")
 
 
 def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise DomainError("graph6 short form supports order at most 62")
-    out = [chr(g.n + 63)]
-    acc = 0
-    width = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            width += 1
-            if width == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                width = 0
-    if width:
-        out.append(chr((acc << (6 - width)) + 63))
-    return "".join(out)
+    bits = _matrix(g.n, g.adj)[_GRAPH6_CELLS[: g.n, : g.n]]
+    data = base64.b64encode(np.packbits(bits).tobytes()).translate(_FROM_BASE64)
+    return chr(g.n + 63) + data[: -(-bits.size // 6)].decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -279,35 +292,30 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(text) > 1 + ndata:
         raise Graph6ParseError("trailing bytes after graph data", 1 + ndata)
-    adj = [0] * n
-    pos = 0
-    i, j = 0, 1
-    for k, ch in enumerate(text[1:], start=1):
-        b = ord(ch)
-        if not 63 <= b <= 126:
-            raise Graph6ParseError(f"byte {b} outside graph6 range 63..126", k)
-        group = b - 63
-        for shift in range(5, -1, -1):
-            bit = group >> shift & 1
-            if pos >= nbits:
-                if bit:
-                    raise Graph6ParseError("nonzero padding bits", k)
-                continue
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
-    return Graph(n, tuple(adj))
+    bad = _NOT_GRAPH6.search(text, 1)
+    if bad:
+        b, k = ord(bad[0]), bad.start()
+        raise Graph6ParseError(f"byte {b} outside graph6 range 63..126", k)
+    if (ord(text[-1]) - 63) % 2 ** (6 * ndata - nbits):  # last digit's pad bits
+        raise Graph6ParseError("nonzero padding bits", ndata)
+    data = (text[1:] + "?" * (-ndata % 4)).encode("ascii").translate(_TO_BASE64)
+    bits = np.unpackbits(np.frombuffer(base64.b64decode(data), dtype=np.uint8))
+    m = np.zeros((n, n), dtype=np.uint8)
+    m[_GRAPH6_CELLS[:n, :n]] = bits[:nbits]
+    return Graph(n, _rows(m | m.T))
+
+
+def _graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of every graph6 record, skipping
+    blank lines and the optional ``>>graph6<<`` header."""
+    for lineno, line in enumerate(lines, start=1):
+        s = line.strip()
+        if s and s != ">>graph6<<":
+            yield lineno, s
 
 
 def iter_graph6(lines: Iterable[str]) -> Iterator[Graph]:
     """Parse graph6 strings one per line, skipping blanks and the
     optional ``>>graph6<<`` header."""
-    for line in lines:
-        s = line.strip()
-        if not s or s == ">>graph6<<":
-            continue
+    for _, s in _graph6_records(lines):
         yield parse_graph6(s)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SizeLimitError
-from .graphs import Graph
+from .graphs import Graph, _matrix
 
 __all__ = [
     "DENSE_LIMIT",
@@ -32,10 +32,7 @@ DENSE_LIMIT = 512
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix as float64."""
-    width = (g.n + 7) // 8
-    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
-    bits = np.unpackbits(np.frombuffer(rows, dtype=np.uint8), bitorder="little")
-    return bits.reshape(g.n, 8 * width)[:, : g.n].astype(float)
+    return _matrix(g.n, g.adj).astype(float)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ __all__ = [
     "build_join_cliques",
 ]
 
+# largest_root_in: grid points of the descending sign-change scan, and
+# the bracket width at which bisection stops
+_SCAN_POINTS = 256
+_BISECTION_WIDTH = 1e-13
+
 
 @dataclass(frozen=True)
 class Cubic:
@@ -56,18 +61,16 @@ class Cubic:
     def coefficients(self) -> tuple[float, float, float, float]:
         return (self.a3, self.a2, self.a1, self.a0)
 
-    def largest_root_in(
-        self, lo: float, hi: float, scan: int = 256, width: float = 1e-13
-    ) -> tuple[float, tuple[float, float]]:
+    def largest_root_in(self, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
         """Largest root in [lo, hi], with its final bisection bracket.
 
         The cubic must be nonnegative at ``hi`` (positive leading
         coefficient with ``hi`` at or beyond the top root).  A
-        descending grid locates the rightmost sign change, bisection
-        narrows it to ``width``, then two Newton steps polish the
-        midpoint without leaving the bracket.  Bisection also stops once
-        the bracket ends are adjacent floats, which happens before
-        ``width`` for roots above about 512.
+        descending grid of ``_SCAN_POINTS`` steps locates the rightmost
+        sign change, bisection narrows it to ``_BISECTION_WIDTH``, then two
+        Newton steps polish the midpoint without leaving the bracket.
+        Bisection also stops once the bracket ends are adjacent floats,
+        which happens before that width for roots above about 512.
         """
         if not hi > lo:
             raise DomainError("empty root bracket")
@@ -76,18 +79,18 @@ class Cubic:
             raise DomainError("cubic is negative at the upper end of the bracket")
         if fhi == 0.0:
             return hi, (hi, hi)
-        step = (hi - lo) / scan
+        step = (hi - lo) / _SCAN_POINTS
         b = hi
         a = None
-        for k in range(1, scan + 1):
-            x = hi - k * step if k < scan else lo
+        for k in range(1, _SCAN_POINTS + 1):
+            x = hi - k * step if k < _SCAN_POINTS else lo
             if self(x) <= 0.0:
                 a = x
                 break
             b = x
         if a is None:
             raise DomainError("no sign change: no root in the bracket")
-        while b - a > width:
+        while b - a > _BISECTION_WIDTH:
             mid = (a + b) / 2.0
             if not a < mid < b:
                 break

@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own algorithms:
 component counts run on vertex sets instead of bitmasks, eigenvalues
 come from numpy's LAPACK bindings on a matrix built entry by entry, and
 ``radius_below`` brackets the largest eigenvalue without LAPACK at all,
-in exact rational arithmetic.  Cut enumeration has no pruning, and
-isomorphism is brute permutation search.
+in exact rational arithmetic.  Cut enumeration has no pruning,
+isomorphism is brute permutation search, and the graph6 codec works on
+a flat list of bits.
 """
 
 from __future__ import annotations
@@ -144,6 +145,29 @@ def labelings_masks(g: Graph) -> set[int]:
         edges = [(perm[u], perm[v]) for (u, v) in g.edges()]
         out.add(mask_of_graph(from_edges(g.n, edges)))
     return out
+
+
+def graph6_encode(g: Graph) -> str:
+    """Short-form graph6 written from a flat bit list: pair (i, j) with
+    i < j, ordered by j and then i, six bits per character."""
+    bits = [g.adj[j] >> i & 1 for j in range(1, g.n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    groups = ["".join(map(str, bits[k : k + 6])) for k in range(0, len(bits), 6)]
+    return chr(g.n + 63) + "".join(chr(int(b, 2) + 63) for b in groups)
+
+
+def graph6_decode(text: str) -> list[set[int]]:
+    """Neighbor sets of a short-form graph6 string, read bit by bit in
+    the same pair order as ``graph6_encode``."""
+    n = ord(text[0]) - 63
+    bits = [int(b) for ch in text[1:] for b in format(ord(ch) - 63, "06b")]
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for (i, j), bit in zip(pairs, bits):
+        if bit:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    return nbrs
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -121,6 +122,38 @@ def test_bad_graph6_exit_2(capsys):
     err = capsys.readouterr().err
     assert "byte 1" in err
     assert run(["certify", "--t", "1", "@@@"]) == 2
+
+
+def test_file_with_non_ascii_byte_exit_2(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"C{\nC\xc8\n")
+    assert run(["certify", "--t", "1", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "byte 1" in err and "byte 200" in err
+
+
+def test_missing_file_exit_3(tmp_path, capsys):
+    assert run(["certify", "--t", "1", "--file", str(tmp_path / "none.g6")]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_directory_as_file_exit_3(tmp_path, capsys):
+    assert run(["certify", "--t", "1", "--file", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unwritable_output_exit_3(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "report.jsonl"
+    assert run(["verify-theorem", "--t", "1", "--n", "4", "--output", str(out_path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_stdin_streams_records_before_a_bad_line(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n@@\nBw\n"))
+    assert run(["spectral-radius", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "A_\t1\n"
+    assert "line 2" in out.err
 
 
 def test_disconnected_certify_exit_3(capsys):

@@ -21,7 +21,15 @@ from toughcert import (
 from toughcert.thresholds import build_extremal
 from toughcert.verify import enumerate_connected
 
-from oracles import brute_components, brute_connected, isomorphic, random_graph
+from oracles import (
+    brute_components,
+    brute_connected,
+    graph6_decode,
+    graph6_encode,
+    isomorphic,
+    neighbor_sets,
+    random_graph,
+)
 
 
 def test_graph_validation():
@@ -35,6 +43,20 @@ def test_graph_validation():
         Graph(2, (4, 0))  # names vertex 2
     with pytest.raises(DomainError):
         from_edges(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 62, 100])
+def test_graph_validation_across_byte_boundaries(n):
+    last = n - 1
+    cases = [
+        ({last: 1 << last}, f"loop at vertex {last}"),
+        ({0: 1 << last}, f"asymmetric adjacency between {last} and 0"),
+        ({last: 1 << n}, f"adjacency of vertex {last} names a vertex >= n"),
+    ]
+    for rows, message in cases:
+        adj = [rows.get(v, 0) for v in range(n)]
+        with pytest.raises(DomainError, match=message):
+            Graph(n, tuple(adj))
 
 
 def test_complete_and_empty():
@@ -158,6 +180,15 @@ def test_graph6_round_trip_structured():
         join(complete(2), empty(4)),
     ):
         assert parse_graph6(to_graph6(g)) == g
+
+
+def test_graph6_matches_bit_list_reference_at_every_order():
+    rng = random.Random(17)
+    for n in range(1, 63):
+        for g in (empty(n), complete(n), random_graph(rng, n, 0.5)):
+            text = graph6_encode(g)
+            assert to_graph6(g) == text, n
+            assert neighbor_sets(parse_graph6(text)) == graph6_decode(text), n
 
 
 def test_graph6_errors_carry_offsets():
