@@ -44,7 +44,14 @@ def _input_lines(args) -> Iterator[str]:
         with open(args.file, "r", encoding="latin-1") as fh:
             yield from fh
     elif args.graph6 == "-":
-        yield from sys.stdin
+        # the same latin-1 reading for stdin's bytes: its text layer
+        # would report a non-UTF-8 byte as a surrogate code point
+        buffer = getattr(sys.stdin, "buffer", None)
+        if buffer is None:
+            yield from sys.stdin
+        else:
+            for line in buffer:
+                yield line.decode("latin-1")
     elif args.graph6 is not None:
         yield args.graph6
     else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError
 from .graphs import Graph, complete, disjoint_union, empty, join
@@ -144,8 +145,18 @@ def threshold(t: int, n: int) -> ThresholdResult:
 
     n - 1 bounds every adjacency eigenvalue of an order-n graph, and
     the cubic is nonnegative there (zero only in the degenerate corner
-    where n - 1 is itself the root), so the bracket is safe.
+    where n - 1 is itself the root), so the bracket is safe.  Results
+    are memoised by ``(t, n)``; the arguments are checked first, so a
+    bad or unhashable one raises ``DomainError``.
     """
+    _check_t_n(t, n)
+    return _threshold(t, n)
+
+
+# a certify stream asks for one t and a handful of orders; the bound
+# keeps a scan over many orders from growing the memo without limit
+@lru_cache(maxsize=1024)
+def _threshold(t: int, n: int) -> ThresholdResult:
     cubic = threshold_cubic(t, n)
     value, bracket = cubic.largest_root_in(0.0, float(n - 1))
     # Horner's a-priori rounding bound gamma_6 * sum |a_i| |x|^i for a

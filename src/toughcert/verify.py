@@ -3,13 +3,17 @@
 ``certify`` applies the spectral sufficient condition to one graph and
 reports a verdict.  ``verify_theorem`` checks the condition against
 every connected labeled graph of a small order by exhaustive scan:
-graphs are integers (one bit per vertex pair), toughness comes from
-precomputed component-count tables applied to whole mask ranges at
-once, and the spectral side only solves eigenproblems for graphs whose
-cheap degree/edge bounds cannot already separate them from the
-threshold.  Workers split the mask range into chunks; chunk results
-are merged in range order so reports are byte-identical for any worker
-count.
+graphs are integers (one bit per vertex pair), and toughness comes
+from one precomputed table of component counts, indexed by edge mask,
+applied to whole mask ranges at once.  A cut S is scanned by the
+isolation identity: clearing every pair that meets S leaves the
+vertices of S isolated, so the table entry of the masked graph is
+c(G - S) + |S|, one AND and one lookup per cut.  The table has order
+min(n, 7); at order 8 each cut's lowest vertex is deleted first.  The
+spectral side only solves eigenproblems for graphs whose cheap
+degree/edge bounds cannot already separate them from the threshold.
+Workers split the mask range into chunks; chunk results are merged in
+range order so reports are byte-identical for any worker count.
 
 The remaining ``verify_*`` suites exercise the supporting facts the
 certification rests on: the join-of-cliques maximizer inequality, the
@@ -297,6 +301,15 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 _TABLES: dict[int, np.ndarray] = {}
 
+# The scan reads one component table, of order min(n, _TABLE_ORDER):
+# 2^21 uint8 entries (2 MB) at order 7, where order 8 would need 2^28
+# (256 MB).  Tables are built _TABLE_BLOCK masks at a time, which keeps
+# the decoded rows and reach temporaries of the build to a few MB.
+_TABLE_ORDER = 7
+_TABLE_BLOCK = 1 << 18
+# the scan deletes at most the cut's lowest vertex before its lookup
+assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
+
 
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
@@ -305,13 +318,24 @@ def _comps_table(r: int) -> np.ndarray:
     tab = _TABLES.get(r)
     if tab is not None:
         return tab
-    rows = _decode(r, np.arange(1 << (r * (r - 1) // 2), dtype=np.int64))
-    out = np.zeros(rows.shape[1], dtype=np.uint8)
-    for v in range(r):
-        comp = _grow(rows, np.full(rows.shape[1], 1 << v, dtype=np.uint8))
-        out += (comp & np.uint8((1 << v) - 1)) == 0
+    total = 1 << (r * (r - 1) // 2)
+    out = np.zeros(total, dtype=np.uint8)
+    for lo in range(0, total, _TABLE_BLOCK):
+        rows = _decode(r, np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64))
+        block = out[lo:lo + rows.shape[1]]
+        for v in range(r):
+            comp = _grow(rows, np.full(rows.shape[1], 1 << v, dtype=np.uint8))
+            block += (comp & np.uint8((1 << v) - 1)) == 0
     _TABLES[r] = out
     return out
+
+
+def _pairs_avoiding(r: int, cut) -> int:
+    """Edge mask, in ``graph_from_mask``'s pair order at order ``r``, of
+    the pairs with neither end in ``cut``."""
+    return sum(
+        1 << e for e, (a, b) in enumerate(_edge_order(r)) if a not in cut and b not in cut
+    )
 
 
 def _scan_chunk(args) -> dict:
@@ -321,8 +345,6 @@ def _scan_chunk(args) -> dict:
     counts cannot change the merged result.
     """
     (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
-    order = _edge_order(n)
-    edge_pos = {(i, j): e for e, (i, j) in enumerate(order)}
     masks = np.arange(lo, hi, dtype=np.int64)
 
     # per-vertex neighbor bitmasks for the whole range at once, then
@@ -334,24 +356,32 @@ def _scan_chunk(args) -> dict:
     cadj = adjs[:, sel]
     ngraphs = int(cmasks.size)
 
-    # exact toughness side: a graph fails 1/t-toughness iff some cut of
-    # size <= (n-1)/(t+1) leaves at least t*size + 1 components; the
-    # component count of the induced remainder comes from a table over
-    # the induced edge bits
+    # exact toughness side: a graph fails 1/t-toughness iff some cut S of
+    # size s <= (n-1)/(t+1) leaves c(G-S) >= t*s + 1 components.  ANDing
+    # the edge masks with the pairs that avoid S isolates every vertex of
+    # S, so the table reads c(G-S) + s: one AND and one lookup per cut.
+    # Above the table order the cut's lowest vertex is first deleted by
+    # gathering the pairs that avoid it (once per vertex, not per cut);
+    # the table then reads c(G-S) + s - 1.
+    r = min(n, _TABLE_ORDER)
+    table = _comps_table(r)
+    dropped = n - r
     violated = np.zeros(ngraphs, dtype=bool)
-    for size in range(1, (n - 1) // (t + 1) + 1):
-        r = n - size
-        table = _comps_table(r)
-        sub_order = _edge_order(r)
-        cmax = np.zeros(ngraphs, dtype=np.uint8)
-        for combo in combinations(range(n), size):
-            keep = [v for v in range(n) if v not in combo]
-            induced = np.zeros(ngraphs, dtype=np.int64)
-            for k, (a, b) in enumerate(sub_order):
-                e = edge_pos[(keep[a], keep[b])]
-                induced |= ((cmasks >> e) & 1) << k
-            np.maximum(cmax, table[induced], out=cmax)
-        violated |= cmax >= t * size + 1
+    for drop in combinations(range(n), dropped):
+        base = cmasks
+        if drop:
+            edge_pos = {pair: e for e, pair in enumerate(_edge_order(n))}
+            rest = [v for v in range(n) if v not in drop]
+            base = np.zeros(ngraphs, dtype=np.int64)
+            for k, (a, b) in enumerate(_edge_order(r)):
+                base |= ((cmasks >> edge_pos[rest[a], rest[b]]) & 1) << k
+        # the rest of the cut lies above the deleted vertices, whose
+        # labels in the remainder are shifted down by ``dropped``
+        above = range(max(drop, default=-1) + 1 - dropped, r)
+        for size in range(max(dropped, 1), (n - 1) // (t + 1) + 1):
+            for cut in combinations(above, size - dropped):
+                comps = table[base & _pairs_avoiding(r, cut)]
+                violated |= comps >= (t + 1) * size + 1 - dropped
 
     degs = np.vstack([np.bitwise_count(cadj[v]) for v in range(n)])
 
@@ -500,9 +530,8 @@ def verify_theorem(
         for lo, hi in ranges
     ]
     if workers > 1 and len(argv) > 1:
-        # warm the component tables before forking so children inherit them
-        for size in range(1, (n - 1) // (t + 1) + 1):
-            _comps_table(n - size)
+        # warm the component table before forking so children inherit it
+        _comps_table(min(n, _TABLE_ORDER))
         with get_context("fork").Pool(workers) as pool:
             results = pool.map(_scan_chunk, argv)
     else:

@@ -156,6 +156,18 @@ def test_stdin_streams_records_before_a_bad_line(capsys, monkeypatch):
     assert "line 2" in out.err
 
 
+def test_stdin_non_ascii_byte_reports_its_value(capsys, monkeypatch):
+    # the text layer of a C-locale stdin turns byte 0xc8 into U+DCC8
+    stdin = io.TextIOWrapper(
+        io.BytesIO(b"A_\n\xc8\n"), encoding="utf-8", errors="surrogateescape"
+    )
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert run(["spectral-radius", "-"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "A_\t1\n"
+    assert "line 2" in out.err and "byte 200" in out.err
+
+
 def test_disconnected_certify_exit_3(capsys):
     # 2K2: order 4, edges (0,1) and (2,3) only
     g6 = to_graph6(from_edges(4, [(0, 1), (2, 3)]))

@@ -96,6 +96,13 @@ def test_threshold_known_values():
         assert abs(threshold(t, t + 2).value - math.sqrt(t + 1)) <= 1e-11
 
 
+def test_threshold_memo_shares_results_and_keeps_domain_errors():
+    assert threshold(2, 9) is threshold(2, 9)
+    for t, n in ((0, 5), (2, 3), (1.0, 5), (1, 5.0), ([1], 5), (1, [5]), ({}, {})):
+        with pytest.raises(DomainError):
+            threshold(t, n)
+
+
 def test_threshold_matches_roots_oracle_on_grid():
     for t in range(1, 6):
         for n in range(t + 2, 30):

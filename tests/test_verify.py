@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -15,15 +16,18 @@ from toughcert import (
     disjoint_union,
     from_edges,
     is_one_over_t_tough,
+    threshold,
     toughness_exact,
 )
 from toughcert.verify import (
     VERDICT_EXCEPTIONAL,
     VERDICT_INCONCLUSIVE,
     VERDICT_TOUGH,
+    _TABLE_BLOCK,
     _comps_table,
     _decode,
     _partitions_desc,
+    _scan_chunk,
     enumerate_connected,
     graph_from_mask,
     mask_of_graph,
@@ -35,7 +39,23 @@ from toughcert.verify import (
     verify_threshold_identities,
 )
 
-from oracles import brute_components, connected_count, eig_radius, labelings_masks
+from oracles import (
+    brute_components,
+    brute_connected,
+    connected_count,
+    eig_radius,
+    labelings_masks,
+)
+
+# sha256 of the verify_theorem(7, t) report bytes, t = 1..5 (the values
+# the benchmark's sweep checks in perfbench/checks.py)
+ORDER_7_REPORT_SHA256 = {
+    1: "aa63ba3b704ace48c172cf4457e5b42215c560bbd6aa2245714cf65545ce0955",
+    2: "499807fbf0bf13335a1ca7bb2b6df7398d57ce4cacb7ddf54501d7413113eb17",
+    3: "edae3d9ee5e81c6757fb6482c53a846e9e7363b378817d4ddf5f0c47bf16fd78",
+    4: "129523043809579da824c0a2b6980982c40dcd5228a442463f0a50053b00fbf6",
+    5: "129b792d961a67ea07c0e09469fba25c9047e4b964c0645b56507a580a9b3b93",
+}
 
 
 def test_mask_round_trip():
@@ -70,6 +90,18 @@ def test_comps_table_matches_component_oracle():
         assert table.size == 1 << (r * (r - 1) // 2)
         for mask in range(table.size):
             assert table[mask] == brute_components(graph_from_mask(r, mask), set())
+
+
+def test_comps_table_blocks_match_component_oracle():
+    # order 7 is the smallest table built in more than one block
+    table = _comps_table(7)
+    assert table.size == 1 << 21 > _TABLE_BLOCK
+    rng = random.Random(67)
+    blocks = table.size // _TABLE_BLOCK
+    boundaries = [k * _TABLE_BLOCK + d for k in range(1, blocks) for d in (-1, 0)]
+    sample = [rng.getrandbits(21) for _ in range(2000)]
+    for mask in [0, table.size - 1] + boundaries + sample:
+        assert table[mask] == brute_components(graph_from_mask(7, mask), set()), mask
 
 
 def test_enumerate_connected_counts():
@@ -200,6 +232,28 @@ def test_verify_theorem_toughness_flags_match_exact_oracle():
             if is_one_over_t_tough(g, t)[0]
         )
         assert summary.counts["tough"] == tough_count
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_scan_chunk_order_8_counts_match_predicate(t):
+    # order 8 deletes each cut's lowest vertex before the order-7 lookup
+    eta = threshold(t, 8).value
+    tough = not_tough = 0
+    for lo in (0, 1 << 27, (1 << 28) - (1 << 12)):
+        res = _scan_chunk((8, t, lo, lo + (1 << 12), eta, 1e-9, 1e-9, False))
+        graphs = [graph_from_mask(8, m) for m in range(lo, lo + (1 << 12))]
+        flags = [is_one_over_t_tough(g, t)[0] for g in graphs if brute_connected(g)]
+        assert res["connected"] == len(flags)
+        assert (res["tough"], res["not_tough"]) == (sum(flags), len(flags) - sum(flags))
+        tough += res["tough"]
+        not_tough += res["not_tough"]
+    assert tough and not_tough
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_verify_theorem_order_7_report_bytes(t):
+    text = "".join(line + "\n" for line in report_lines(verify_theorem(7, t)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t]
 
 
 def test_verify_theorem_deterministic_reports():
