@@ -248,60 +248,86 @@ def is_extremal(g: Graph, t: int) -> bool:
 
 # -- graph6 ---------------------------------------------------------------
 #
-# Short-form graph6: one byte n+63 for the order (n <= 62), then the
-# upper triangle of the adjacency matrix read column by column ((0,1),
-# (0,2), (1,2), (0,3), ...), which is the lower triangle _GRAPH6_CELLS
-# read row by row, in base64 with the digits '?'..'~' for 'A'..'/' and
-# no '=' padding.  Trailing pad bits of the last digit must be zero.
+# graph6 (McKay, formats.txt): a header for the order n, then the upper
+# triangle of the adjacency matrix read column by column ((0,1), (0,2),
+# (1,2), (0,3), ...), which is the lower triangle _GRAPH6_CELLS read row
+# by row, in base64 with the digits '?'..'~' for 'A'..'/' and no '='
+# padding.  Trailing pad bits of the last digit must be zero.  The
+# header is one byte n+63 for n <= 62 (short form), or '~' and three
+# digits holding n in 18 bits for 63 <= n <= 258047 (long form).
 _GRAPH6_CELLS = np.tri(62, 62, -1, dtype=bool)
+# the long form's first order digit stays below '~', which would open
+# the 8-byte header of larger orders
+_GRAPH6_MAX = 258047
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 _FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _NOT_GRAPH6 = re.compile("[^?-~]")
 
 
+def _cells(n: int) -> np.ndarray:
+    return _GRAPH6_CELLS[:n, :n] if n <= 62 else np.tri(n, n, -1, dtype=bool)
+
+
 def to_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise DomainError("graph6 short form supports order at most 62")
-    bits = _matrix(g.n, g.adj)[_GRAPH6_CELLS[: g.n, : g.n]]
+    if g.n > _GRAPH6_MAX:
+        raise DomainError(f"graph6 supports order at most {_GRAPH6_MAX}")
+    if g.n <= 62:
+        header = chr(g.n + 63)
+    else:
+        header = "~" + "".join(chr((g.n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = _matrix(g.n, g.adj)[_cells(g.n)]
     data = base64.b64encode(np.packbits(bits).tobytes()).translate(_FROM_BASE64)
-    return chr(g.n + 63) + data[: -(-bits.size // 6)].decode("ascii")
+    return header + data[: -(-bits.size // 6)].decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Parse one short-form graph6 string, strictly.
+    """Parse one graph6 string, short or long form, strictly.
 
-    Rejects long-form headers, bytes outside ``'?'..'~'``, wrong length
-    and nonzero padding; every error carries the offending byte offset.
+    Rejects the 8-byte header of orders above 258047, a long-form header
+    for an order below 63, bytes outside ``'?'..'~'``, wrong length and
+    nonzero padding; every error carries the offending byte offset.
     """
     if not text:
         raise Graph6ParseError("empty graph6 string", 0)
     first = ord(text[0])
-    if first == 126:
-        raise Graph6ParseError("long-form graph6 orders (>= 63) not supported", 0)
     if not 63 <= first <= 126:
         raise Graph6ParseError(f"byte {first} outside graph6 range 63..126", 0)
-    n = first - 63
+    if first == 126:
+        head = _NOT_GRAPH6.search(text[:4], 1)
+        if head:
+            b, k = ord(head[0]), head.start()
+            raise Graph6ParseError(f"byte {b} outside graph6 range 63..126", k)
+        if len(text) < 4:
+            raise Graph6ParseError("truncated long-form graph6 header", len(text))
+        if text[1] == "~":
+            raise Graph6ParseError(f"graph6 orders above {_GRAPH6_MAX} not supported", 0)
+        n = sum((ord(ch) - 63) << s for ch, s in zip(text[1:4], (12, 6, 0)))
+        if n < 63:
+            raise Graph6ParseError(f"long-form graph6 header for order {n} below 63", 0)
+        h = 4
+    else:
+        n, h = first - 63, 1
     if n == 0:
         raise Graph6ParseError("order-0 graph not supported", 0)
     nbits = n * (n - 1) // 2
     ndata = (nbits + 5) // 6
-    if len(text) < 1 + ndata:
+    if len(text) < h + ndata:
         raise Graph6ParseError(
             f"truncated: order {n} needs {ndata} data bytes", len(text)
         )
-    if len(text) > 1 + ndata:
-        raise Graph6ParseError("trailing bytes after graph data", 1 + ndata)
-    bad = _NOT_GRAPH6.search(text, 1)
+    if len(text) > h + ndata:
+        raise Graph6ParseError("trailing bytes after graph data", h + ndata)
+    bad = _NOT_GRAPH6.search(text, h)
     if bad:
         b, k = ord(bad[0]), bad.start()
         raise Graph6ParseError(f"byte {b} outside graph6 range 63..126", k)
     if (ord(text[-1]) - 63) % 2 ** (6 * ndata - nbits):  # last digit's pad bits
-        raise Graph6ParseError("nonzero padding bits", ndata)
-    data = (text[1:] + "?" * (-ndata % 4)).encode("ascii").translate(_TO_BASE64)
+        raise Graph6ParseError("nonzero padding bits", h + ndata - 1)
+    data = (text[h:] + "?" * (-ndata % 4)).encode("ascii").translate(_TO_BASE64)
     bits = np.unpackbits(np.frombuffer(base64.b64decode(data), dtype=np.uint8))
     m = np.zeros((n, n), dtype=np.uint8)
-    m[_GRAPH6_CELLS[:n, :n]] = bits[:nbits]
+    m[_cells(n)] = bits[:nbits]
     return Graph(n, _rows(m | m.T))
 
 

@@ -37,16 +37,11 @@ __all__ = [
     "build_join_cliques",
 ]
 
-# largest_root_in: grid points of the descending sign-change scan, and
-# the bracket width at which bisection stops
-_SCAN_POINTS = 256
-_BISECTION_WIDTH = 1e-13
-
 
 @dataclass(frozen=True)
 class Cubic:
-    """Monic-or-not cubic a3 x^3 + a2 x^2 + a1 x + a0 with a bracketed
-    largest-root solver."""
+    """Cubic a3 x^3 + a2 x^2 + a1 x + a0 with an exact largest-root
+    isolator."""
 
     a3: float
     a2: float
@@ -63,57 +58,67 @@ class Cubic:
         return (self.a3, self.a2, self.a1, self.a0)
 
     def largest_root_in(self, lo: float, hi: float) -> tuple[float, tuple[float, float]]:
-        """Largest root in [lo, hi], with its final bisection bracket.
+        """Largest real root, correctly rounded, with a bracket of equal
+        or adjacent floats that holds it exactly.
 
-        The cubic must be nonnegative at ``hi`` (positive leading
-        coefficient with ``hi`` at or beyond the top root).  A
-        descending grid of ``_SCAN_POINTS`` steps locates the rightmost
-        sign change, bisection narrows it to ``_BISECTION_WIDTH``, then two
-        Newton steps polish the midpoint without leaving the bracket.
-        Bisection also stops once the bracket ends are adjacent floats,
-        which happens before that width for roots above about 512.
+        The leading coefficient must be positive and the root must lie
+        in [lo, hi].  ``_root_side`` tells exactly on which side of the
+        root a point lies, so bisection on floats runs until the ends
+        are adjacent (or meet at the root), and the side of their exact
+        midpoint picks the nearer end.  p(hi) >= 0, and p(lo) <= 0 unless
+        a second root lies between lo and the root.
         """
+        coeffs = self.coefficients()
+        if not all(map(math.isfinite, (*coeffs, lo, hi, hi - lo))):
+            raise DomainError("cubic coefficients and bracket ends must be finite")
+        if not self.a3 > 0.0:
+            raise DomainError("leading coefficient must be positive")
         if not hi > lo:
             raise DomainError("empty root bracket")
-        fhi = self(hi)
-        if fhi < 0.0:
-            raise DomainError("cubic is negative at the upper end of the bracket")
-        if fhi == 0.0:
-            return hi, (hi, hi)
-        step = (hi - lo) / _SCAN_POINTS
-        b = hi
-        a = None
-        for k in range(1, _SCAN_POINTS + 1):
-            x = hi - k * step if k < _SCAN_POINTS else lo
-            if self(x) <= 0.0:
-                a = x
-                break
-            b = x
-        if a is None:
-            raise DomainError("no sign change: no root in the bracket")
-        while b - a > _BISECTION_WIDTH:
-            mid = (a + b) / 2.0
-            if not a < mid < b:
-                break
-            if self(mid) <= 0.0:
+        side = _root_side(coeffs)
+        s_lo, s_hi = side(*lo.as_integer_ratio()), side(*hi.as_integer_ratio())
+        if s_lo > 0:
+            raise DomainError("no root in the bracket: the top root lies below it")
+        if s_hi < 0:
+            raise DomainError("the top root lies above the bracket")
+        a, b = (hi if s_hi == 0 else lo), (lo if s_lo == 0 else hi)
+        while a < (mid := a + (b - a) / 2.0) < b:
+            s = side(*mid.as_integer_ratio())
+            if s <= 0:
                 a = mid
-            else:
+            if s >= 0:
                 b = mid
-        root = (a + b) / 2.0
-        for _ in range(2):
-            d = self.derivative(root)
-            if d == 0.0:
-                break
-            step = self(root) / d
-            candidate = root - step
-            if not a <= candidate <= b:
-                break
-            root = candidate
-        return root, (a, b)
+        (ma, qa), (mb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+        half = (ma * qb + mb * qa, 2 * qa * qb)  # exact midpoint of the ends
+        s = side(*half)
+        # int / int rounds correctly, so a tie goes to the even end
+        return (b if s < 0 else a if s > 0 else half[0] / half[1]), (a, b)
 
 
-# gamma_6 = 6u / (1 - 6u), with u = 2^-53 the unit roundoff of float64
-_GAMMA_6 = 6 * 2.0**-53 / (1 - 6 * 2.0**-53)
+def _root_side(coeffs: tuple[float, ...]):
+    """Exact sign of x - r, as a function of x = m/q (q > 0), for the
+    largest real root r of the cubic ``coeffs`` (leading coefficient
+    positive).
+
+    One power of two scales the dyadic coefficients to integers a, b, c,
+    d, and p(m/q) has the sign of q^3 p(m/q).  Past the local minimum p
+    rises through r, and so it does everywhere if r is the only real
+    root.  With three real roots (discriminant >= 0) r is past the local
+    minimum, so any x before it (3ax + b < 0 or p'(x) < 0) lies below r.
+    """
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    scale = max(q for _, q in ratios)
+    a, b, c, d = (m * (scale // q) for m, q in ratios)
+    disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+
+    def side(m: int, q: int) -> int:
+        am, bq, qq = a * m, b * q, q * q
+        v = ((am + bq) * m + c * qq) * m + d * qq * q
+        if v >= 0 and disc >= 0 and (3 * am + bq < 0 or (3 * am + 2 * bq) * m + c * qq < 0):
+            return -1
+        return (v > 0) - (v < 0)
+
+    return side
 
 
 def _check_t_n(t: int, n: int) -> None:
@@ -132,7 +137,8 @@ def threshold_cubic(t: int, n: int) -> Cubic:
 @dataclass(frozen=True)
 class ThresholdResult:
     """Certification threshold: the largest root of the cubic for
-    (t, n), together with the bisection bracket that pinned it."""
+    (t, n), correctly rounded, together with the float bracket that
+    holds it exactly (equal or adjacent ends)."""
 
     t: int
     n: int
@@ -144,8 +150,8 @@ def threshold(t: int, n: int) -> ThresholdResult:
     """Largest root of the certification cubic on [0, n-1].
 
     n - 1 bounds every adjacency eigenvalue of an order-n graph, and
-    the cubic is nonnegative there (zero only in the degenerate corner
-    where n - 1 is itself the root), so the bracket is safe.  Results
+    the cubic is positive there for every t >= 1, so the top root lies
+    in the bracket; ``Cubic.largest_root_in`` isolates it exactly.  Results
     are memoised by ``(t, n)``; the arguments are checked first, so a
     bad or unhashable one raises ``DomainError``.
     """
@@ -157,18 +163,7 @@ def threshold(t: int, n: int) -> ThresholdResult:
 # keeps a scan over many orders from growing the memo without limit
 @lru_cache(maxsize=1024)
 def _threshold(t: int, n: int) -> ThresholdResult:
-    cubic = threshold_cubic(t, n)
-    value, bracket = cubic.largest_root_in(0.0, float(n - 1))
-    # Horner's a-priori rounding bound gamma_6 * sum |a_i| |x|^i for a
-    # cubic (Higham, Accuracy and Stability of Numerical Algorithms,
-    # 5.1): it grows like n^3, as the evaluation error does
-    resid = abs(cubic(value))
-    x = abs(value)
-    bound = _GAMMA_6 * (
-        ((abs(cubic.a3) * x + abs(cubic.a2)) * x + abs(cubic.a1)) * x + abs(cubic.a0)
-    )
-    if resid > bound:
-        raise ArithmeticError(f"threshold root residual {resid:.3e} above {bound:.3e}")
+    value, bracket = threshold_cubic(t, n).largest_root_in(0.0, float(n - 1))
     return ThresholdResult(t, n, value, bracket)
 
 

@@ -25,6 +25,7 @@ identities tying the quotient cubic to the certification cubic.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -509,12 +510,18 @@ def verify_theorem(
     ``eps_eq``), or its largest eigenvalue is below threshold by more
     than ``eps_strict``.  Anything else is recorded as a failure;
     eigenvalues inside the ambiguity band are recorded as incidents.
-    Order 8 must be enabled explicitly via ``allow_order_8``.
+    Both tolerances must be finite and nonnegative.  Order 8 must be
+    enabled explicitly via ``allow_order_8``.
     """
     if not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
     if not isinstance(n, int) or n < t + 2:
         raise DomainError(f"order n must be an integer >= t + 2 = {t + 2}")
+    for name, eps in (("eps_eq", eps_eq), ("eps_strict", eps_strict)):
+        if not (math.isfinite(eps) and eps >= 0):
+            raise DomainError(f"{name} must be finite and nonnegative")
+    if not isinstance(chunk_size, int) or chunk_size < 1:
+        raise DomainError("chunk_size must be a positive integer")
     cap = _SCAN_HARD_MAX if allow_order_8 else _SCAN_DEFAULT_MAX
     if n > cap:
         raise SizeLimitError(

@@ -5,8 +5,8 @@ component counts run on vertex sets instead of bitmasks, eigenvalues
 come from numpy's LAPACK bindings on a matrix built entry by entry, and
 ``radius_below`` brackets the largest eigenvalue without LAPACK at all,
 in exact rational arithmetic.  Cut enumeration has no pruning,
-isomorphism is brute permutation search, and the graph6 codec works on
-a flat list of bits.
+isomorphism is brute permutation search, the graph6 codec works on a
+flat list of bits, and ``cubic_sign`` evaluates a cubic in Fractions.
 """
 
 from __future__ import annotations
@@ -148,19 +148,28 @@ def labelings_masks(g: Graph) -> set[int]:
 
 
 def graph6_encode(g: Graph) -> str:
-    """Short-form graph6 written from a flat bit list: pair (i, j) with
-    i < j, ordered by j and then i, six bits per character."""
+    """graph6 written from a flat bit list: pair (i, j) with i < j,
+    ordered by j and then i, six bits per character.  The order is one
+    character up to 62, else '~' and three characters of 18 bits."""
+    order = format(g.n, "018b")
+    head = chr(g.n + 63) if g.n <= 62 else "~" + "".join(
+        chr(int(order[k : k + 6], 2) + 63) for k in (0, 6, 12))
     bits = [g.adj[j] >> i & 1 for j in range(1, g.n) for i in range(j)]
     bits += [0] * (-len(bits) % 6)
     groups = ["".join(map(str, bits[k : k + 6])) for k in range(0, len(bits), 6)]
-    return chr(g.n + 63) + "".join(chr(int(b, 2) + 63) for b in groups)
+    return head + "".join(chr(int(b, 2) + 63) for b in groups)
 
 
 def graph6_decode(text: str) -> list[set[int]]:
-    """Neighbor sets of a short-form graph6 string, read bit by bit in
-    the same pair order as ``graph6_encode``."""
-    n = ord(text[0]) - 63
-    bits = [int(b) for ch in text[1:] for b in format(ord(ch) - 63, "06b")]
+    """Neighbor sets of a graph6 string (short or long form), read bit
+    by bit in the same pair order as ``graph6_encode``."""
+    if text[0] == "~":
+        n = int("".join(format(ord(ch) - 63, "06b") for ch in text[1:4]), 2)
+        body = text[4:]
+    else:
+        n = ord(text[0]) - 63
+        body = text[1:]
+    bits = [int(b) for ch in body for b in format(ord(ch) - 63, "06b")]
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     nbrs: list[set[int]] = [set() for _ in range(n)]
     for (i, j), bit in zip(pairs, bits):
@@ -168,6 +177,17 @@ def graph6_decode(text: str) -> list[set[int]]:
             nbrs[i].add(j)
             nbrs[j].add(i)
     return nbrs
+
+
+def cubic_sign(coeffs, x) -> int:
+    """Exact sign of the cubic with float coefficients ``coeffs``
+    (highest degree first) at the float or Fraction ``x``, by Horner's
+    rule in Fractions."""
+    x = Fraction(x)
+    v = Fraction(0)
+    for c in coeffs:
+        v = v * x + Fraction(c)
+    return (v > 0) - (v < 0)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from toughcert import from_edges, to_graph6
+import toughcert.verify
+from toughcert import ThresholdResult, from_edges, to_graph6
 from toughcert.cli import run
 
 
@@ -117,6 +118,14 @@ def test_certify_negative_epsilon_exit_3(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_verify_theorem_bad_tolerance_exit_3(capsys):
+    for flag, value in (("--eps-strict", "nan"), ("--eps-eq", "-1"), ("--eps-eq", "inf")):
+        assert run(["verify-theorem", "--n", "6", "--t", "1", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite and nonnegative" in captured.err
+
+
 def test_bad_graph6_exit_2(capsys):
     assert run(["spectral-radius", "C"]) == 2
     err = capsys.readouterr().err
@@ -203,12 +212,13 @@ def test_verify_theorem_cli_range_stdout(capsys):
     assert [s["scope"]["n"] for s in summaries] == [4, 5]
 
 
-def test_verify_theorem_cli_failure_exit_1(capsys):
-    # a negative equality tolerance makes the sharpness check
-    # unsatisfiable, so the run must report failures and exit 1
-    code = run([
-        "verify-theorem", "--t", "1", "--n", "4", "--eps-eq", "-3"
-    ])
+def test_verify_theorem_cli_failure_exit_1(capsys, monkeypatch):
+    # a threshold far below the true one puts non-tough graphs above it,
+    # so the run must report failures and exit 1
+    monkeypatch.setattr(
+        toughcert.verify, "threshold", lambda t, n: ThresholdResult(t, n, 1.0, (1.0, 1.0))
+    )
+    code = run(["verify-theorem", "--t", "1", "--n", "4"])
     assert code == 1
     out = capsys.readouterr()
     assert any(

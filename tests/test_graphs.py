@@ -168,6 +168,8 @@ def test_graph6_known_strings():
     assert star.degrees() == (1, 1, 1, 1, 4)
     paw = build_extremal(1, 4)
     assert to_graph6(paw) == "C{"
+    # formats.txt: the long form writes order 63 as '~' then 0, 0, 63
+    assert to_graph6(empty(63)).startswith("~??~?")
 
 
 def test_graph6_round_trip_structured():
@@ -184,7 +186,7 @@ def test_graph6_round_trip_structured():
 
 def test_graph6_matches_bit_list_reference_at_every_order():
     rng = random.Random(17)
-    for n in range(1, 63):
+    for n in [*range(1, 63), 63, 64, 100]:  # short form, then long form
         for g in (empty(n), complete(n), random_graph(rng, n, 0.5)):
             text = graph6_encode(g)
             assert to_graph6(g) == text, n
@@ -196,7 +198,7 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("")
     assert err.value.offset == 0
     with pytest.raises(Graph6ParseError) as err:
-        parse_graph6("~AAAA")  # long form rejected
+        parse_graph6("~~AAAAAA")  # 8-byte header of orders above 258047
     assert err.value.offset == 0
     with pytest.raises(Graph6ParseError) as err:
         parse_graph6("C")  # truncated: order 4 needs one data byte
@@ -218,9 +220,29 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("?")  # order 0
 
 
-def test_graph6_order_63_rejected_on_write():
+def test_graph6_long_form_errors_carry_offsets():
+    cases = [
+        ("~", 1),  # truncated header
+        ("~?@", 3),
+        ("~? @" + "?" * 340, 2),  # byte 32 in the header
+        ("~???", 0),  # long header for order 0
+        ("~??}", 0),  # order 62 belongs to the short form
+        ("~?@?" + "?" * 335, 339),  # order 64 needs 336 data bytes
+        ("~?@?" + "?" * 337, 340),  # trailing byte
+        ("~??~" + "?" * 325 + "@", 329),  # order 63: 1953 bits, pad bits set
+    ]
+    for text, offset in cases:
+        with pytest.raises(Graph6ParseError) as err:
+            parse_graph6(text)
+        assert err.value.offset == offset, text
+
+
+def test_graph6_order_above_258047_rejected_on_write():
+    class Huge:  # stand-in: a real graph of this order would not fit in memory
+        n = 258048
+
     with pytest.raises(DomainError):
-        to_graph6(empty(63))
+        to_graph6(Huge())
 
 
 def test_iter_graph6_skips_header_and_blanks():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from toughcert import (
     threshold_cubic,
 )
 
-from oracles import cubic_roots, eig_radius
+from oracles import cubic_roots, cubic_sign, eig_radius
 
 # frozen from the companion-matrix oracle (numpy.roots)
 ETA_1_4 = 2.170086486626035
@@ -71,6 +72,78 @@ def test_cubic_exact_zero_at_upper_end():
     c = Cubic(1.0, 0.0, 0.0, -8.0)
     root, bracket = c.largest_root_in(0.0, 2.0)
     assert root == 2.0 and bracket == (2.0, 2.0)
+
+
+def test_cubic_root_input_checks():
+    with pytest.raises(DomainError, match="leading coefficient"):
+        Cubic(-1.0, 0.0, 0.0, 8.0).largest_root_in(-5.0, 5.0)
+    with pytest.raises(DomainError, match="leading coefficient"):
+        Cubic(0.0, 1.0, 0.0, -1.0).largest_root_in(0.0, 5.0)
+    for cubic, lo, hi in [
+        (Cubic(1.0, math.nan, 0.0, -8.0), 0.0, 5.0),
+        (Cubic(1.0, 0.0, 0.0, math.inf), 0.0, 5.0),
+        (Cubic(1.0, 0.0, 0.0, -8.0), math.nan, 5.0),
+        (Cubic(1.0, 0.0, 0.0, -8.0), 0.0, math.inf),
+        (Cubic(1.0, 0.0, 0.0, -8.0), -1e308, 1e308),  # width overflows
+    ]:
+        with pytest.raises(DomainError, match="finite"):
+            cubic.largest_root_in(lo, hi)
+    with pytest.raises(DomainError, match="above the bracket"):
+        Cubic(1.0, 0.0, 0.0, -8.0).largest_root_in(0.0, 1.5)
+    # (x - 1)(x - 2)(x - 3): 3.5 is positive, but the top root is above it
+    with pytest.raises(DomainError, match="above the bracket"):
+        Cubic(1.0, -6.0, 11.0, -6.0).largest_root_in(0.0, 1.5)
+
+
+def test_cubic_multiple_lower_and_tied_roots():
+    # (x - 1)(x - 2)^2: the top root is double
+    assert Cubic(1.0, -5.0, 8.0, -4.0).largest_root_in(0.0, 3.0) == (2.0, (2.0, 2.0))
+    # (x - 1)^2 (x - 2): a double root below a simple top root
+    assert Cubic(1.0, -4.0, 5.0, -2.0).largest_root_in(0.0, 3.0) == (2.0, (2.0, 2.0))
+    # x^3: a triple root
+    assert Cubic(1.0, 0.0, 0.0, 0.0).largest_root_in(-1.0, 1.0) == (0.0, (0.0, 0.0))
+    # x^3 - 3x is zero at the lower end 0, which is not the top root
+    root, (lo, hi) = Cubic(1.0, 0.0, -3.0, 0.0).largest_root_in(0.0, 2.0)
+    assert root == math.sqrt(3.0) and lo < hi == math.nextafter(lo, 2.0)
+    # (2^1023 x - k 2^-52)(x^2 + 1) has its one root k 2^-1075 halfway
+    # between adjacent subnormals for odd k; ties go to the even one
+    u = math.ulp(0.0)
+    for k, want in ((1, 0.0), (3, 2 * u), (5, 2 * u)):
+        b = -k * 2.0**-52
+        root, (lo, hi) = Cubic(2.0**1023, b, 2.0**1023, b).largest_root_in(-1.0, 1.0)
+        assert root == want and hi - lo == u and lo < Fraction(k, 2) * Fraction(u) < hi
+
+
+def _assert_exactly_isolated(cubic, root, bracket):
+    """The bracket ends are equal or adjacent floats with p(lo) <= 0 <=
+    p(hi) exactly, and the root is the end nearer the true root."""
+    coeffs = cubic.coefficients()
+    lo, hi = bracket
+    assert lo == hi or math.nextafter(lo, math.inf) == hi
+    assert cubic_sign(coeffs, lo) <= 0 <= cubic_sign(coeffs, hi)
+    if lo == hi:
+        assert root == lo
+        return
+    # p rises through its top root, so a negative sign at the exact
+    # midpoint puts the root above it
+    mid = cubic_sign(coeffs, (Fraction(lo) + Fraction(hi)) / 2)
+    assert mid != 0
+    assert root == (hi if mid < 0 else lo)
+    top = cubic_roots(coeffs)[-1]
+    assert abs(root - top) <= 1e-9 * max(1.0, top)
+
+
+def test_threshold_is_correctly_rounded_with_exact_bracket():
+    grid = [(2, 8)] + [(t, n) for t in range(1, 6) for n in range(t + 2, 3001, 7)]
+    for t, n in grid:
+        res = threshold(t, n)
+        _assert_exactly_isolated(threshold_cubic(t, n), res.value, res.bracket)
+    # the default grid of verify_threshold_identities
+    for s in range(1, 7):
+        for t in range(1, 6):
+            for n in range(t * s + s + 1, 41):
+                qc = quotient_cubic(s, t, n)
+                _assert_exactly_isolated(qc, *qc.largest_root_in(0.0, float(n - 1)))
 
 
 def test_threshold_cubic_coefficients():

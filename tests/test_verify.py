@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from toughcert import (
     disjoint_union,
     from_edges,
     is_one_over_t_tough,
+    parse_graph6,
     threshold,
     toughness_exact,
 )
@@ -177,6 +179,14 @@ def test_certify_cross_check_modes():
     assert certify(big, 1, cross_check=True).cross_check["tough"] is True
 
 
+def test_certify_reports_above_order_62():
+    # the report's graph6 uses the long form from order 63 on
+    rep = certify(complete(70), 1)
+    assert rep.verdict == VERDICT_TOUGH
+    assert rep.graph6.startswith("~?@E")
+    assert parse_graph6(rep.graph6) == complete(70)
+
+
 def test_certify_hypothesis_errors():
     with pytest.raises(HypothesisError):
         certify(disjoint_union(complete(2), complete(2)), 1)
@@ -274,6 +284,26 @@ def test_verify_theorem_guards():
         verify_theorem(3, 2)  # n below t + 2
     with pytest.raises(SizeLimitError):
         verify_theorem(8, 1)  # needs allow_order_8
+
+
+def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
+    # a NaN tolerance would make every band test false (a vacuous "ok"
+    # scan with a bare NaN in its scope), a negative eps_eq would report
+    # false spectral-bound failures at (5, 1), and chunk_size=0 would
+    # reach range() as a zero step
+    for kwargs in (
+        {"eps_eq": math.nan},
+        {"eps_strict": math.nan},
+        {"eps_eq": math.inf},
+        {"eps_strict": -math.inf},
+        {"eps_eq": -1.0},
+        {"eps_strict": -1e-12},
+        {"chunk_size": 0},
+        {"chunk_size": -4},
+        {"chunk_size": 64.0},
+    ):
+        with pytest.raises(DomainError):
+            verify_theorem(5, 1, **kwargs)
 
 
 def test_verify_theorem_widened_band_reports_incidents_not_failures():
