@@ -86,8 +86,8 @@ def _cmd_threshold(args) -> int:
         print(json.dumps({
             "t": res.t,
             "n": res.n,
-            "threshold": float(_fmt(res.value)),
-            "bracket": [float(_fmt(res.bracket[0])), float(_fmt(res.bracket[1]))],
+            "threshold": res.value,
+            "bracket": list(res.bracket),
             "coefficients": list(coeffs),
         }, sort_keys=True))
     else:

@@ -147,11 +147,12 @@ class ThresholdResult:
 
 
 def threshold(t: int, n: int) -> ThresholdResult:
-    """Largest root of the certification cubic on [0, n-1].
+    """Largest root of the certification cubic on [n-t-1, n-1].
 
     n - 1 bounds every adjacency eigenvalue of an order-n graph, and
-    the cubic is positive there for every t >= 1, so the top root lies
-    in the bracket; ``Cubic.largest_root_in`` isolates it exactly.  Results
+    the cubic is positive there for every t >= 1, while at n - t - 1 it
+    is exactly -t, so the top root lies in the bracket;
+    ``Cubic.largest_root_in`` isolates it exactly.  Results
     are memoised by ``(t, n)``; the arguments are checked first, so a
     bad or unhashable one raises ``DomainError``.
     """
@@ -163,7 +164,7 @@ def threshold(t: int, n: int) -> ThresholdResult:
 # keeps a scan over many orders from growing the memo without limit
 @lru_cache(maxsize=1024)
 def _threshold(t: int, n: int) -> ThresholdResult:
-    value, bracket = threshold_cubic(t, n).largest_root_in(0.0, float(n - 1))
+    value, bracket = threshold_cubic(t, n).largest_root_in(float(n - t - 1), float(n - 1))
     return ThresholdResult(t, n, value, bracket)
 
 

@@ -3,15 +3,20 @@
 ``certify`` applies the spectral sufficient condition to one graph and
 reports a verdict.  ``verify_theorem`` checks the condition against
 every connected labeled graph of a small order by exhaustive scan:
-graphs are integers (one bit per vertex pair), and toughness comes
-from one precomputed table of component counts, indexed by edge mask,
-applied to whole mask ranges at once.  A cut S is scanned by the
-isolation identity: clearing every pair that meets S leaves the
-vertices of S isolated, so the table entry of the masked graph is
-c(G - S) + |S|, one AND and one lookup per cut.  The table has order
-min(n, 7); at order 8 each cut's lowest vertex is deleted first.  The
-spectral side only solves eigenproblems for graphs whose cheap
-degree/edge bounds cannot already separate them from the threshold.
+graphs are integers (one bit per vertex pair), never decoded, and
+component counts come from one precomputed table indexed by edge mask,
+applied to whole mask ranges at once.  The tables, and connectivity at
+order 8, come from one contraction identity: an order-r mask is
+N | sub << (r - 1), with N vertex 0's neighbour set and sub the mask of
+G - 0, and contracting vertex 0 into its lowest neighbour keeps the
+count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).  A cut S is
+scanned by the isolation identity: clearing every pair that meets S
+leaves the vertices of S isolated, so the table entry of the masked
+graph is c(G - S) + |S|, one AND and one lookup per cut.  The table has
+order min(n, 7); at order 8 each cut's lowest vertex is deleted first.
+Degrees are popcounts of the masks.  The spectral side only solves
+eigenproblems for graphs whose cheap degree/edge bounds cannot already
+separate them from the threshold.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -30,6 +35,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from multiprocessing import get_context
 
@@ -92,8 +98,10 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _edge_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+# the scans ask for a few orders, once per graph they build
+@lru_cache(maxsize=64)
+def _edge_order(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -115,10 +123,10 @@ def mask_of_graph(g: Graph) -> int:
     return mask
 
 
-# The vectorised scans hold one graph per array column: edge masks as
-# int64 (one bit per vertex pair, and the mask count 2^C(n,2) below the
-# sign bit) and neighbour rows as uint8 (one bit per vertex), so the
-# scan cap must fit both.
+# The vectorised scans hold one graph per array entry as an int64 edge
+# mask (one bit per vertex pair, and the mask count 2^C(n,2) below the
+# sign bit); ``enumerate_connected`` decodes its graphs into uint8
+# neighbour rows (one bit per vertex).  The scan cap must fit both.
 _ROW_BITS = np.iinfo(np.uint8).bits
 assert _SCAN_HARD_MAX <= _ROW_BITS
 assert _SCAN_HARD_MAX * (_SCAN_HARD_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
@@ -137,18 +145,6 @@ def _decode(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _grow(rows: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """Closure of the vertex masks ``seed`` (one per column of ``rows``)
-    under adjacency: n - 1 sweeps over the vertices reach every path."""
-    n = rows.shape[0]
-    reach = seed.copy()
-    for _ in range(n - 1):
-        for v in range(n):
-            has = (reach >> v) & np.uint8(1)
-            reach |= rows[v] * has
-    return reach
-
-
 def enumerate_connected(n: int):
     """Yield every connected labeled graph of order ``n`` in increasing
     edge-mask order.  Guarded at order 8 (2^28 masks)."""
@@ -158,9 +154,8 @@ def enumerate_connected(n: int):
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, 1 << 16):
-        rows = _decode(n, np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64))
-        sel = _grow(rows, np.ones(rows.shape[1], dtype=np.uint8)) == (1 << n) - 1
-        for adj in rows[:, sel].T.tolist():
+        masks = np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64)
+        for adj in _decode(n, masks[_counts(n, masks) == 1]).T.tolist():
             yield Graph(n, tuple(adj))
 
 
@@ -302,31 +297,63 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 _TABLES: dict[int, np.ndarray] = {}
 
-# The scan reads one component table, of order min(n, _TABLE_ORDER):
-# 2^21 uint8 entries (2 MB) at order 7, where order 8 would need 2^28
-# (256 MB).  Tables are built _TABLE_BLOCK masks at a time, which keeps
-# the decoded rows and reach temporaries of the build to a few MB.
+# Component tables go up to order _TABLE_ORDER: 2^21 uint8 entries
+# (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Tables are
+# built _TABLE_BLOCK masks at a time, which keeps the int64 temporaries
+# of the build to a few MB.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 18
-# the scan deletes at most the cut's lowest vertex before its lookup
+# the scan contracts or deletes at most one vertex before its lookup
 assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
+
+
+@lru_cache(maxsize=None)
+def _star(r: int) -> np.ndarray:
+    """Contraction pairs at order ``r``, indexed by vertex 0's neighbour
+    set N (the low r - 1 bits of an edge mask, bit k for vertex k + 1):
+    the edge mask, at order r - 1 with labels shifted down by one, of
+    the pairs joining N's lowest member to its other members."""
+    near = np.arange(1 << (r - 1), dtype=np.int64)
+    out = np.zeros(near.size, dtype=np.int64)
+    for e, (a, b) in enumerate(_edge_order(r - 1)):
+        lowest_a = (near & ((2 << a) - 1)) == (1 << a)
+        out |= (lowest_a & (near >> b) & 1) << e
+    return out
+
+
+def _contract(r: int, masks: np.ndarray) -> np.ndarray:
+    """Component counts of the order-``r`` graphs with int64 edge
+    ``masks``, read one order down.  In lex pair order a mask is
+    N | sub << (r - 1): N is vertex 0's neighbour set and sub the mask
+    of G - 0.  Contracting vertex 0 into its lowest neighbour keeps the
+    count, and an isolated vertex 0 adds one, so
+    c_r(mask) = c_{r-1}(sub | _star(r)[N]) + (N == 0)."""
+    near = masks & ((1 << (r - 1)) - 1)
+    return _counts(r - 1, (masks >> (r - 1)) | _star(r)[near]) + (near == 0)
+
+
+def _counts(r: int, masks: np.ndarray) -> np.ndarray:
+    """Component counts (uint8) of the order-``r`` graphs with int64
+    edge ``masks``: a table read up to ``_TABLE_ORDER``, the contraction
+    identity above it."""
+    if r <= _TABLE_ORDER:
+        return _comps_table(r)[masks]
+    return _contract(r, masks)
 
 
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
-    by edge mask.  uint8, built once per process: a vertex is counted
-    when its component has no lower-numbered vertex."""
+    by edge mask.  uint8, built once per process by the contraction
+    identity from the table of order r - 1, down to c_1 = [1]."""
     tab = _TABLES.get(r)
     if tab is not None:
         return tab
     total = 1 << (r * (r - 1) // 2)
-    out = np.zeros(total, dtype=np.uint8)
-    for lo in range(0, total, _TABLE_BLOCK):
-        rows = _decode(r, np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64))
-        block = out[lo:lo + rows.shape[1]]
-        for v in range(r):
-            comp = _grow(rows, np.full(rows.shape[1], 1 << v, dtype=np.uint8))
-            block += (comp & np.uint8((1 << v) - 1)) == 0
+    out = np.ones(total, dtype=np.uint8)
+    if r > 1:
+        for lo in range(0, total, _TABLE_BLOCK):
+            hi = min(lo + _TABLE_BLOCK, total)
+            out[lo:hi] = _contract(r, np.arange(lo, hi, dtype=np.int64))
     _TABLES[r] = out
     return out
 
@@ -348,13 +375,8 @@ def _scan_chunk(args) -> dict:
     (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
     masks = np.arange(lo, hi, dtype=np.int64)
 
-    # per-vertex neighbor bitmasks for the whole range at once, then
-    # connectivity as the reach of vertex 0
-    adjs = _decode(n, masks)
-    reach = _grow(adjs, np.ones(masks.size, dtype=np.uint8))
-    sel = np.nonzero(reach == np.uint8((1 << n) - 1))[0]
-    cmasks = masks[sel]
-    cadj = adjs[:, sel]
+    # connected graphs are those with one component; nothing is decoded
+    cmasks = masks[_counts(n, masks) == 1]
     ngraphs = int(cmasks.size)
 
     # exact toughness side: a graph fails 1/t-toughness iff some cut S of
@@ -384,16 +406,21 @@ def _scan_chunk(args) -> dict:
                 comps = table[base & _pairs_avoiding(r, cut)]
                 violated |= comps >= (t + 1) * size + 1 - dropped
 
-    degs = np.vstack([np.bitwise_count(cadj[v]) for v in range(n)])
+    everything = (1 << (n * (n - 1) // 2)) - 1
+    degs = np.vstack([
+        np.bitwise_count(cmasks & (everything ^ _pairs_avoiding(n, (v,)))) for v in range(n)
+    ])
 
-    # recognize sharpness-example labelings: degree profile first, then
-    # the structural test on the few candidates
+    # recognize sharpness-example labelings: edge count (half the degree
+    # sum), then the degree profile, then the structural test on the few
+    # candidates
     expected = Counter({n - 1: 1})
     expected[n - t - 1] += n - t - 1
     expected[1] += t
-    cand = np.ones(ngraphs, dtype=bool)
+    edges = np.bitwise_count(cmasks)
+    cand = np.nonzero(edges == sum(d * cnt for d, cnt in expected.items()) // 2)[0]
     for d, cnt in expected.items():
-        cand &= (degs == d).sum(axis=0) == cnt
+        cand = cand[(degs[:, cand] == d).sum(axis=0) == cnt]
 
     failures: list[dict] = []
     incidents: list[dict] = []
@@ -402,7 +429,7 @@ def _scan_chunk(args) -> dict:
     eigensolves = 0
 
     def graph(i) -> Graph:
-        return Graph(n, tuple(int(row) for row in cadj[:, i]))
+        return graph_from_mask(n, int(cmasks[i]))
 
     def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
@@ -416,7 +443,7 @@ def _scan_chunk(args) -> dict:
             rec["lambda1"] = _round12(lam)
         return rec
 
-    for i in np.nonzero(cand)[0]:
+    for i in cand:
         g = graph(i)
         if not _extremal_core(g.adj, n, t):
             continue
@@ -431,7 +458,7 @@ def _scan_chunk(args) -> dict:
     # spectral side for graphs that fail toughness: cheap upper bounds
     # (max degree, and sqrt(2m - n + 1)) rule most of them out without
     # an eigensolve
-    mcounts = np.bitwise_count(cmasks).astype(np.float64)
+    mcounts = edges.astype(np.float64)
     maxdeg = degs.max(axis=0).astype(np.float64)
     ub = np.minimum(maxdeg, np.sqrt(np.maximum(2.0 * mcounts - n + 1.0, 0.0)))
     needs = violated & ~exceptional & (ub >= eta - eps_strict)

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import toughcert.verify
-from toughcert import ThresholdResult, from_edges, to_graph6
+from toughcert import ThresholdResult, from_edges, threshold, to_graph6
 from toughcert.cli import run
 
 
@@ -24,9 +24,20 @@ def test_threshold_json(capsys):
     assert rec["bracket"][0] <= rec["threshold"] <= rec["bracket"][1]
 
 
+def test_threshold_json_bracket_is_exact(capsys):
+    # the bracket ends are adjacent floats; 12 digits would print them
+    # as one number
+    assert run(["threshold", "--t", "2", "--n", "8", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    res = threshold(2, 8)
+    assert tuple(rec["bracket"]) == res.bracket
+    assert rec["bracket"][0] < rec["bracket"][1]
+    assert rec["threshold"] == res.value
+
+
 def test_threshold_large_order(capsys):
-    # roots above 512 sit where adjacent floats are wider than the
-    # bisection width
+    # roots above 512 sit where adjacent floats are more than 1e-13
+    # apart; the exact isolator still ends on adjacent floats
     assert run(["threshold", "--t", "2", "--n", "600"]) == 0
     assert "threshold(t=2, n=600) = 597.000005602" in capsys.readouterr().out
 

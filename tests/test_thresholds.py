@@ -41,7 +41,8 @@ def test_cubic_evaluation_and_derivative():
 def test_cubic_largest_root_against_roots_oracle():
     rng = random.Random(23)
     for _ in range(200):
-        # distinct prescribed roots, separated enough for the scan grid
+        # distinct prescribed roots; the float coefficients move them
+        # slightly, so the isolated top root is compared within 1e-9
         r0 = rng.uniform(-10, 0)
         r1 = r0 + rng.uniform(0.5, 5.0)
         r2 = r1 + rng.uniform(0.5, 5.0)
@@ -176,6 +177,22 @@ def test_threshold_memo_shares_results_and_keeps_domain_errors():
             threshold(t, n)
 
 
+def test_threshold_start_bracket_is_exact():
+    # threshold isolates the root on [n - t - 1, n - 1]: the cubic is
+    # exactly -t at the lower end and positive at the upper one
+    for t in range(1, 21):
+        for n in list(range(t + 2, 60)) + [500, 1067, 3000]:
+            coeffs = threshold_cubic(t, n).coefficients()
+            x = Fraction(n - t - 1)
+            value = Fraction(0)
+            for c in coeffs:
+                value = value * x + Fraction(c)
+            assert value == -t, (t, n)
+            assert cubic_sign(coeffs, n - 1) > 0, (t, n)
+            lo, hi = threshold(t, n).bracket
+            assert n - t - 1 < lo <= hi <= n - 1
+
+
 def test_threshold_matches_roots_oracle_on_grid():
     for t in range(1, 6):
         for n in range(t + 2, 30):
@@ -199,6 +216,8 @@ def test_threshold_monotone_in_order():
 
 
 def test_threshold_residual_is_tiny():
+    # the correctly rounded root leaves only the float evaluation error
+    # of the cubic, far below a relative 1e-10
     for t, n in [(1, 4), (2, 10), (5, 40), (3, 25)]:
         cubic = threshold_cubic(t, n)
         res = threshold(t, n)
@@ -207,9 +226,9 @@ def test_threshold_residual_is_tiny():
 
 
 def test_threshold_returns_past_float_spacing():
-    # above 512 adjacent floats are more than 1e-13 apart, so the
-    # bisection cannot narrow its bracket to that width and must stop
-    # on adjacent ends instead
+    # above 512 adjacent floats are more than 1e-13 apart; the isolator
+    # bisects on floats until its ends are adjacent, so its stopping
+    # rule does not depend on the scale of the root
     for n in (520, 600, 1000):
         res = threshold(2, n)
         top = cubic_roots(threshold_cubic(2, n).coefficients())[-1]
@@ -218,9 +237,9 @@ def test_threshold_returns_past_float_spacing():
 
 
 def test_threshold_residual_gate_scales_with_order():
-    # the evaluation error of the cubic at its root grows like n^3, so a
-    # gate proportional to the coefficients (like n) rejected scattered
-    # orders from n = 1030 on
+    # the float evaluation error of the cubic near its root grows like
+    # n^3, so no float residual test can decide the root at large
+    # orders; the exact integer sign tests bracket it at every order
     for t in range(1, 6):
         for n in range(t + 2, 3001, 7):
             res = threshold(t, n)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import toughcert.verify
 from toughcert import (
     DomainError,
     HypothesisError,
@@ -16,6 +17,7 @@ from toughcert import (
     complete,
     disjoint_union,
     from_edges,
+    is_connected,
     is_one_over_t_tough,
     parse_graph6,
     threshold,
@@ -27,6 +29,7 @@ from toughcert.verify import (
     VERDICT_TOUGH,
     _TABLE_BLOCK,
     _comps_table,
+    _counts,
     _decode,
     _partitions_desc,
     _scan_chunk,
@@ -104,6 +107,47 @@ def test_comps_table_blocks_match_component_oracle():
     sample = [rng.getrandbits(21) for _ in range(2000)]
     for mask in [0, table.size - 1] + boundaries + sample:
         assert table[mask] == brute_components(graph_from_mask(7, mask), set()), mask
+
+
+def test_counts_match_component_oracle_on_every_small_mask():
+    for r in range(1, 6):
+        masks = np.arange(1 << (r * (r - 1) // 2), dtype=np.int64)
+        got = _counts(r, masks)
+        for mask in masks.tolist():
+            assert got[mask] == brute_components(graph_from_mask(r, mask), set()), (r, mask)
+
+
+def test_counts_contract_order_8_to_the_order_7_table():
+    # order 8 has no table: vertex 0 is contracted into its lowest
+    # neighbour and the order-7 table read
+    rng = random.Random(71)
+    sample = [0, (1 << 28) - 1] + [rng.getrandbits(28) for _ in range(20000)]
+    got = _counts(8, np.array(sample, dtype=np.int64))
+    assert got.dtype == np.uint8
+    for mask, count in zip(sample, got.tolist()):
+        g = graph_from_mask(8, mask)
+        assert count == brute_components(g, set()), mask
+        assert (count == 1) == is_connected(g), mask
+    assert got[0] == 8 and got[1] == 1
+
+
+def test_scan_chunk_decodes_nothing(monkeypatch):
+    def refuse(n, masks):
+        raise AssertionError("the scan decoded its masks")
+
+    monkeypatch.setattr(toughcert.verify, "_decode", refuse)
+    eta = threshold(1, 6).value
+    res = _scan_chunk((6, 1, 0, 1 << 15, eta, 1e-9, 1e-9, True))
+    assert res["connected"] == connected_count(6)
+    assert res["exceptional_masks"] and res["eigensolves"]
+    eta = threshold(2, 8).value
+    res = _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), eta, 1e-9, 1e-9, True))
+    assert res["connected"] > 0
+
+
+def test_enumerate_connected_order_6_count():
+    # OEIS A001187: connected labeled graphs on 6 vertices
+    assert sum(1 for _ in enumerate_connected(6)) == 26704
 
 
 def test_enumerate_connected_counts():
