@@ -146,8 +146,9 @@ def _cmd_toughness(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    for _, g in _read_graphs(args):
-        rep = certify(g, args.t, epsilon=args.epsilon, cross_check=args.cross_check)
+    for g6, g in _read_graphs(args):
+        rep = certify(g, args.t, epsilon=args.epsilon, cross_check=args.cross_check,
+                      graph6=g6)
         print(json.dumps(rep.to_dict(), sort_keys=True))
     return 0
 

@@ -80,6 +80,16 @@ class Graph:
             v, u = divmod(int(np.flatnonzero(m > m.T)[0]), self.n)
             raise DomainError(f"asymmetric adjacency between {u} and {v}")
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """A graph from rows that are in range, loop-free and symmetric by
+        construction, without ``__post_init__``'s re-check.  Only the
+        builders that guarantee this (graph6 parsing and edge masks) call it."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
+
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
@@ -328,7 +338,7 @@ def parse_graph6(text: str) -> Graph:
     bits = np.unpackbits(np.frombuffer(base64.b64decode(data), dtype=np.uint8))
     m = np.zeros((n, n), dtype=np.uint8)
     m[_cells(n)] = bits[:nbits]
-    return Graph(n, _rows(m | m.T))
+    return Graph._trusted(n, _rows(m | m.T))
 
 
 def _graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

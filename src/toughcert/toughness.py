@@ -1,20 +1,35 @@
-"""Exact toughness by exhaustive cut enumeration.
+"""Exact toughness from one all-subset component pass.
 
 Toughness is min |S| / c(G - S) over vertex cuts S whose removal
 disconnects the graph; complete graphs have no such cut and their
-toughness is infinite.  All comparisons are done in integers so the
-reported value is exact, and witnesses are deterministic: cuts are
-scanned by increasing size, lexicographically within a size.
+toughness is infinite.  Checking it exactly means reading c(G - S) for
+every cut, so each graph gets one vectorised pass over all 2^n vertex
+subsets U:
+
+- the closed neighbourhood union nb[U] (U and its neighbours) comes
+  from two half-tables, one over the low and one over the high
+  vertices, joined by an outer OR;
+- the component R[U] of U's lowest vertex in G[U] grows as
+  R <- nb[R] & U until no entry changes;
+- c(G[U]) is the number of steps from U to 0 along U -> U ^ R[U],
+  followed only from the sets V - S of the cuts being asked about.
+
+Cuts are read in one cached per-order array in (size, lexicographic)
+order, so witnesses are the first cut in that order.  All comparisons
+are done in integers, so the reported value is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from math import comb, lcm
+
+import numpy as np
 
 from .errors import DomainError, SizeLimitError
-from .graphs import Graph, _component_masks, is_connected
+from .graphs import Graph, _bits, is_connected
 
 __all__ = ["EXHAUSTIVE_LIMIT", "ToughnessResult", "toughness_exact", "is_one_over_t_tough"]
 
@@ -59,17 +74,69 @@ def _check_input(g: Graph, max_order: int) -> None:
         raise DomainError("toughness is defined for connected graphs only")
 
 
-def _cut_counts(g: Graph):
-    """Yield ``(cut, c(G - S))`` for every vertex set S of size 1..n-2,
-    in (size, lexicographic) order.  Consumers stop it on their own
-    rules; ``c`` may be 1 for cuts that do not disconnect."""
-    full = (1 << g.n) - 1
-    for size in range(1, g.n - 1):
-        for cut in combinations(range(g.n), size):
-            smask = 0
-            for v in cut:
-                smask |= 1 << v
-            yield cut, len(_component_masks(g.adj, full ^ smask))
+def _unions(values) -> np.ndarray:
+    """OR of ``values[v]`` over the set bits v of U, for every U in
+    ``[0, 2**len(values))``: the outer OR of a half-table over the high
+    vertices and one over the low vertices."""
+
+    def half(part):
+        table = [0]
+        for x in part:
+            table += [y | x for y in table]
+        return np.array(table, dtype=np.int64)
+
+    k = len(values) // 2
+    return np.bitwise_or.outer(half(values[k:]), half(values[:k])).ravel()
+
+
+# int64 masks index the tables directly; 2^n entries bound n far below 63
+@lru_cache(maxsize=8)
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every vertex subset U of order ``n`` and its lowest vertex bit."""
+    subsets = np.arange(1 << n, dtype=np.int64)
+    return subsets, subsets & -subsets
+
+
+@lru_cache(maxsize=8)
+def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and sizes of every cut S with 1 <= |S| <= n - 2, in (size,
+    lexicographic) order.  Among sets of one size, lexicographic order
+    of the sorted vertex tuples is descending order of the bit-reversed
+    mask, so one sort on (size, complement of the reversed mask) gives
+    it."""
+    masks = _subsets(n)[0]
+    sizes = np.bitwise_count(masks)
+    rev = _unions([1 << (n - 1 - v) for v in range(n)])
+    order = np.argsort((sizes.astype(np.int64) << n) | (((1 << n) - 1) ^ rev))
+    # the empty set sorts first, sizes n - 1 and n (n + 1 sets) last
+    order = order[1 : -(n + 1)]
+    return masks[order], sizes[order]
+
+
+def _component_counts(g: Graph, rests: np.ndarray) -> np.ndarray:
+    """c(G[U]) for every vertex set U in ``rests``."""
+    # closed neighbourhoods: nb[R] & U is R | (N(R) & U) for R inside U
+    nb = _unions([row | 1 << v for v, row in enumerate(g.adj)])
+    subsets, reach = _subsets(g.n)
+    # each step only adds bits, so an unchanged sum is the fixed point
+    total = None
+    while True:
+        reach = nb[reach]
+        reach &= subsets
+        before, total = total, int(reach.sum())
+        if total == before:
+            break
+    # c(G[U]) counts the nonempty sets on the chain U, U ^ R[U], ...
+    nxt = subsets ^ reach
+    counts = np.zeros(rests.size, dtype=np.uint8)
+    while rests.any():
+        counts += rests != 0
+        rests = nxt[rests]
+    return counts
+
+
+def _witness(cut) -> tuple[int, ...]:
+    return tuple(_bits(int(cut)))
 
 
 def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessResult:
@@ -79,17 +146,14 @@ def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessRes
     full = (1 << n) - 1
     if all(row == full ^ (1 << v) for v, row in enumerate(g.adj)):
         return ToughnessResult(infinite=True)
-    best_num = best_den = 0
-    witness: tuple[int, ...] | None = None
-    for cut, c in _cut_counts(g):
-        size = len(cut)
-        # every later ratio is at least size/(n - size), so stop once
-        # even that floor cannot beat the current minimum
-        if witness is not None and size * best_den >= best_num * (n - size):
-            break
-        if c >= 2 and (witness is None or size * best_den < best_num * c):
-            best_num, best_den, witness = size, c, cut
-    return ToughnessResult(False, best_num, best_den, witness)
+    cuts, sizes = _cut_order(n)
+    counts = _component_counts(g, full ^ cuts)
+    # s / c = s * (L // c) / L with L = lcm(1..n), an exact integer key;
+    # cuts that leave one component get n * L, above every ratio's key
+    big = lcm(*range(1, n + 1))
+    scale = np.array([n * big] * 2 + [big // c for c in range(2, n + 1)], dtype=np.int64)
+    i = int(np.argmin(sizes * scale[counts]))
+    return ToughnessResult(False, int(sizes[i]), int(counts[i]), _witness(cuts[i]))
 
 
 def is_one_over_t_tough(
@@ -107,11 +171,18 @@ def is_one_over_t_tough(
         raise DomainError("t must be positive")
     tn, td = frac.numerator, frac.denominator
     n = g.n
-    for cut, c in _cut_counts(g):
-        size = len(cut)
-        # c(G - S) <= n - size, so sizes with t*size >= n - size are safe
-        if tn * size >= td * (n - size):
-            break
-        if c >= 2 and tn * size < td * c:
-            return False, cut
-    return True, None
+    cuts, sizes = _cut_order(n)
+    # c(G - S) <= n - |S|, so only sizes with t |S| < n - |S| can violate
+    top = min((td * n - 1) // (tn + td), n - 2)
+    # the cut order holds the C(n, s) cuts of each size s in turn
+    cuts = cuts[: sum(comb(n, s) for s in range(1, top + 1))]
+    if not cuts.size:
+        return True, None
+    counts = _component_counts(g, ((1 << n) - 1) ^ cuts)
+    # t s < c exactly when c > floor(t s); a violation also needs c >= 2
+    floor = np.array([max(1, tn * s // td) for s in range(top + 1)], dtype=np.int64)
+    violated = counts > floor[sizes[: cuts.size]]
+    i = int(violated.argmax())
+    if not violated[i]:
+        return True, None
+    return False, _witness(cuts[i])

@@ -107,12 +107,14 @@ def _edge_order(n: int) -> tuple[tuple[int, int], ...]:
 def graph_from_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the set bits of ``mask`` in the
     lexicographic pair order (0,1), (0,2), ..., (n-2,n-1)."""
+    if n < 1:
+        raise DomainError("graph order must be a positive integer")
     adj = [0] * n
     for e, (i, j) in enumerate(_edge_order(n)):
         if mask >> e & 1:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def mask_of_graph(g: Graph) -> int:
@@ -193,6 +195,8 @@ def certify(
     t: int,
     epsilon: float = 1e-9,
     cross_check: bool | None = None,
+    *,
+    graph6: str | None = None,
 ) -> CertificateReport:
     """Apply the spectral sufficient condition for 1/t-toughness.
 
@@ -205,6 +209,9 @@ def certify(
     ``cross_check=None`` runs the exact toughness oracle automatically
     for orders <= 10; ``True`` forces it (subject to the exhaustive
     limit); ``False`` skips it.
+    ``graph6`` is the record ``g`` was parsed from, reported as given:
+    strict parsing accepts one encoding per graph, so it equals
+    ``to_graph6(g)``, which is computed only when it is omitted.
     """
     if not isinstance(t, int) or t < 1:
         raise HypothesisError("t must be a positive integer")
@@ -234,9 +241,9 @@ def certify(
             raise ArithmeticError(
                 "sharpness example came out tough under the exhaustive oracle"
             )
-    return CertificateReport(
-        to_graph6(g), t, g.n, lam, eta, verdict, epsilon, cross
-    )
+    if graph6 is None:
+        graph6 = to_graph6(g)
+    return CertificateReport(graph6, t, g.n, lam, eta, verdict, epsilon, cross)
 
 
 # -- summaries and reports --------------------------------------------------

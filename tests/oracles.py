@@ -27,8 +27,10 @@ def neighbor_sets(g: Graph) -> list[set[int]]:
 
 
 def brute_components(g: Graph, removed: set[int]) -> int:
-    nbrs = neighbor_sets(g)
-    left = set(range(g.n)) - set(removed)
+    return _count_components(neighbor_sets(g), set(range(g.n)) - set(removed))
+
+
+def _count_components(nbrs: list[set[int]], left: set[int]) -> int:
     count = 0
     while left:
         stack = [next(iter(left))]
@@ -50,10 +52,11 @@ def brute_connected(g: Graph) -> bool:
 
 def brute_toughness(g: Graph) -> Fraction | None:
     """None means infinite (complete graph).  No pruning at all."""
+    nbrs = neighbor_sets(g)
     best: Fraction | None = None
     for size in range(1, g.n):
         for cut in combinations(range(g.n), size):
-            c = brute_components(g, set(cut))
+            c = _count_components(nbrs, set(range(g.n)) - set(cut))
             if c < 2:
                 continue
             ratio = Fraction(size, c)

@@ -1,11 +1,28 @@
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 import toughcert.verify
-from toughcert import ThresholdResult, from_edges, threshold, to_graph6
+from toughcert import ThresholdResult, certify, from_edges, parse_graph6, threshold, to_graph6
 from toughcert.cli import run
+
+
+@pytest.fixture(scope="module")
+def bench_records():
+    """Graph6 records of the benchmark's seed-1 certify inputs, keyed by
+    (workload, t), from the generator in ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return {
+        (workload, t): [item["graph6"] for item in items]
+        for workload in ("certify-small", "certify-large")
+        for t, items in gen.generate(workload, 1).items()
+    }
 
 
 def test_threshold_plain(capsys):
@@ -115,6 +132,29 @@ def test_certify_json_lines(capsys):
     assert run(["certify", "--t", "1", "--no-cross-check", "C{"]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["cross_check"] is None
+
+
+def test_benchmark_records_are_canonical_graph6(bench_records):
+    # strict parsing accepts one encoding per graph, so certify can
+    # report the record it read instead of encoding the graph again
+    for key, records in bench_records.items():
+        for s in records:
+            assert to_graph6(parse_graph6(s)) == s, (key, s)
+
+
+@pytest.mark.parametrize("workload", ["certify-small", "certify-large"])
+def test_certify_output_equals_reencoded_reports(bench_records, workload, tmp_path, capsys):
+    for t in (1, 2, 3):
+        records = bench_records[workload, t]
+        path = tmp_path / f"t{t}.g6"
+        path.write_text("".join(s + "\n" for s in records), encoding="ascii")
+        assert run(["certify", "--t", str(t), "--file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = [
+            json.dumps(certify(parse_graph6(s), t).to_dict(), sort_keys=True)
+            for s in records
+        ]
+        assert lines == expected
 
 
 def test_certify_conflicting_cross_check_flags_exit_2(capsys):

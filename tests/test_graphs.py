@@ -19,7 +19,7 @@ from toughcert import (
     to_graph6,
 )
 from toughcert.thresholds import build_extremal
-from toughcert.verify import enumerate_connected
+from toughcert.verify import enumerate_connected, graph_from_mask
 
 from oracles import (
     brute_components,
@@ -57,6 +57,28 @@ def test_graph_validation_across_byte_boundaries(n):
         adj = [rows.get(v, 0) for v in range(n)]
         with pytest.raises(DomainError, match=message):
             Graph(n, tuple(adj))
+
+
+def test_trusted_builders_pass_the_public_checks():
+    # parse_graph6 and graph_from_mask skip the constructor's re-check;
+    # every graph they build must pass it and compare equal
+    rng = random.Random(61)
+    for n in range(1, 9):
+        for _ in range(300):
+            g = graph_from_mask(n, rng.getrandbits(n * (n - 1) // 2))
+            assert Graph(g.n, g.adj) == g
+    for n in range(1, 71):
+        nbits = n * (n - 1) // 2
+        ndata = -(-nbits // 6)
+        header = to_graph6(empty(n))[: 1 if n <= 62 else 4]
+        for _ in range(20):
+            digits = [rng.randrange(64) for _ in range(ndata)]
+            if digits:  # clear the last digit's pad bits
+                digits[-1] &= -1 << (6 * ndata - nbits)
+            g = parse_graph6(header + "".join(chr(d + 63) for d in digits))
+            assert Graph(g.n, g.adj) == g
+    with pytest.raises(DomainError):
+        graph_from_mask(0, 0)
 
 
 def test_complete_and_empty():

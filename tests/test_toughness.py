@@ -14,11 +14,12 @@ from toughcert import (
     from_edges,
     is_one_over_t_tough,
     join,
+    parse_graph6,
     toughness_exact,
 )
 from toughcert.verify import enumerate_connected
 
-from oracles import brute_toughness, random_connected_graph
+from oracles import brute_components, brute_toughness, random_connected_graph
 
 
 def test_complete_graphs_are_infinitely_tough():
@@ -59,7 +60,8 @@ def test_witness_reproduces_the_ratio():
 
 
 def test_matches_unpruned_oracle_exhaustively_small():
-    for n in range(1, 6):
+    ts = (Fraction(1, 2), Fraction(3, 2))
+    for n in range(1, 7):
         for g in enumerate_connected(n):
             mine = toughness_exact(g)
             ref = brute_toughness(g)
@@ -67,6 +69,11 @@ def test_matches_unpruned_oracle_exhaustively_small():
                 assert mine.infinite
             else:
                 assert mine.value() == ref
+            for t in ts:
+                ok, witness = is_one_over_t_tough(g, t)
+                assert ok == (ref is None or ref >= 1 / t), (n, g.adj, t)
+                if not ok:
+                    assert t * len(witness) < brute_components(g, set(witness))
 
 
 def test_matches_unpruned_oracle_random():
@@ -78,6 +85,38 @@ def test_matches_unpruned_oracle_random():
         assert (ref is None) == mine.infinite
         if ref is not None:
             assert mine.value() == ref
+
+
+def test_matches_unpruned_oracle_random_larger_orders():
+    rng = random.Random(53)
+    for n in range(11, 15):
+        for _ in range(2):
+            g = random_connected_graph(rng, n, rng.uniform(0.2, 0.85))
+            mine = toughness_exact(g)
+            assert mine.value() == brute_toughness(g), n
+            assert brute_components(g, set(mine.witness)) == mine.denominator
+            assert len(mine.witness) == mine.numerator
+
+
+def test_witness_is_first_in_size_then_lexicographic_order():
+    # cuts (0, 5) and (1, 4) both leave three components; (0, 5) comes
+    # first lexicographically although its mask 0b100001 exceeds 0b10010
+    g = parse_graph6("GkzSIO")
+    assert components_after_removal(g, (0, 5)) == 3
+    assert components_after_removal(g, (1, 4)) == 3
+    assert is_one_over_t_tough(g, 1) == (False, (0, 5))
+    res = toughness_exact(g)
+    assert (res.numerator, res.denominator, res.witness) == (2, 3, (0, 5))
+
+
+def test_max_order_above_the_default_limit():
+    g = build_extremal(1, 21)
+    with pytest.raises(SizeLimitError):
+        toughness_exact(g)
+    res = toughness_exact(g, max_order=21)
+    assert (res.numerator, res.denominator, res.witness) == (1, 2, (0,))
+    assert is_one_over_t_tough(g, 1, max_order=21) == (False, (0,))
+    assert is_one_over_t_tough(g, 2, max_order=21) == (True, None)
 
 
 def test_extremal_family_value():
