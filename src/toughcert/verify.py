@@ -109,6 +109,8 @@ def graph_from_mask(n: int, mask: int) -> Graph:
     lexicographic pair order (0,1), (0,2), ..., (n-2,n-1)."""
     if n < 1:
         raise DomainError("graph order must be a positive integer")
+    if not 0 <= mask < 1 << (n * (n - 1) // 2):
+        raise DomainError(f"edge mask out of range for order {n}")
     adj = [0] * n
     for e, (i, j) in enumerate(_edge_order(n)):
         if mask >> e & 1:
@@ -126,25 +128,9 @@ def mask_of_graph(g: Graph) -> int:
 
 
 # The vectorised scans hold one graph per array entry as an int64 edge
-# mask (one bit per vertex pair, and the mask count 2^C(n,2) below the
-# sign bit); ``enumerate_connected`` decodes its graphs into uint8
-# neighbour rows (one bit per vertex).  The scan cap must fit both.
-_ROW_BITS = np.iinfo(np.uint8).bits
-assert _SCAN_HARD_MAX <= _ROW_BITS
+# mask (one bit per vertex pair), so the mask count 2^C(n,2) must stay
+# below the sign bit at the scan cap.
 assert _SCAN_HARD_MAX * (_SCAN_HARD_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
-
-
-def _decode(n: int, masks: np.ndarray) -> np.ndarray:
-    """Neighbour rows, shape ``(n, masks.size)`` and dtype uint8, of the
-    int64 edge ``masks`` read in ``graph_from_mask``'s pair order."""
-    if n > _ROW_BITS:
-        raise SizeLimitError(f"uint8 neighbour rows hold at most {_ROW_BITS} vertices")
-    rows = np.zeros((n, masks.size), dtype=np.uint8)
-    for e, (i, j) in enumerate(_edge_order(n)):
-        bit = ((masks >> e) & 1).astype(np.uint8)
-        rows[i] |= bit << j
-        rows[j] |= bit << i
-    return rows
 
 
 def enumerate_connected(n: int):
@@ -155,10 +141,10 @@ def enumerate_connected(n: int):
     if n > _SCAN_HARD_MAX:
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
     total = 1 << (n * (n - 1) // 2)
-    for lo in range(0, total, 1 << 16):
-        masks = np.arange(lo, min(lo + (1 << 16), total), dtype=np.int64)
-        for adj in _decode(n, masks[_counts(n, masks) == 1]).T.tolist():
-            yield Graph(n, tuple(adj))
+    for lo in range(0, total, _TABLE_BLOCK):
+        masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
+        for mask in masks[_counts(n, masks) == 1].tolist():
+            yield graph_from_mask(n, mask)
 
 
 # -- single-graph certification -------------------------------------------
@@ -302,14 +288,13 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 # -- exhaustive theorem scan ------------------------------------------------
 
-_TABLES: dict[int, np.ndarray] = {}
-
 # Component tables go up to order _TABLE_ORDER: 2^21 uint8 entries
-# (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Tables are
-# built _TABLE_BLOCK masks at a time, which keeps the int64 temporaries
-# of the build to a few MB.
+# (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Every mask
+# pass (the table build, the scan's default chunk, enumeration) takes
+# _TABLE_BLOCK masks at a time, which keeps each int64 temporary at
+# 512 KB.
 _TABLE_ORDER = 7
-_TABLE_BLOCK = 1 << 18
+_TABLE_BLOCK = 1 << 16
 # the scan contracts or deletes at most one vertex before its lookup
 assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
 
@@ -348,23 +333,22 @@ def _counts(r: int, masks: np.ndarray) -> np.ndarray:
     return _contract(r, masks)
 
 
+@lru_cache(maxsize=None)
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
     by edge mask.  uint8, built once per process by the contraction
     identity from the table of order r - 1, down to c_1 = [1]."""
-    tab = _TABLES.get(r)
-    if tab is not None:
-        return tab
     total = 1 << (r * (r - 1) // 2)
     out = np.ones(total, dtype=np.uint8)
     if r > 1:
         for lo in range(0, total, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, total)
             out[lo:hi] = _contract(r, np.arange(lo, hi, dtype=np.int64))
-    _TABLES[r] = out
     return out
 
 
+# asked for every cut in every chunk, with few distinct arguments
+@lru_cache(maxsize=None)
 def _pairs_avoiding(r: int, cut) -> int:
     """Edge mask, in ``graph_from_mask``'s pair order at order ``r``, of
     the pairs with neither end in ``cut``."""
@@ -533,7 +517,7 @@ def verify_theorem(
     eps_strict: float = 1e-9,
     log_curiosities: bool = False,
     allow_order_8: bool = False,
-    chunk_size: int = 1 << 18,
+    chunk_size: int = _TABLE_BLOCK,
 ) -> VerificationSummary:
     """Check the sufficient condition against every connected labeled
     graph of order ``n`` for the given ``t``.
@@ -545,7 +529,8 @@ def verify_theorem(
     than ``eps_strict``.  Anything else is recorded as a failure;
     eigenvalues inside the ambiguity band are recorded as incidents.
     Both tolerances must be finite and nonnegative.  Order 8 must be
-    enabled explicitly via ``allow_order_8``.
+    enabled explicitly via ``allow_order_8``.  ``workers`` must be a
+    positive integer; no more processes are forked than there are chunks.
     """
     if not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
@@ -556,6 +541,8 @@ def verify_theorem(
             raise DomainError(f"{name} must be finite and nonnegative")
     if not isinstance(chunk_size, int) or chunk_size < 1:
         raise DomainError("chunk_size must be a positive integer")
+    if not isinstance(workers, int) or workers < 1:
+        raise DomainError("workers must be a positive integer")
     cap = _SCAN_HARD_MAX if allow_order_8 else _SCAN_DEFAULT_MAX
     if n > cap:
         raise SizeLimitError(
@@ -573,7 +560,7 @@ def verify_theorem(
     if workers > 1 and len(argv) > 1:
         # warm the component table before forking so children inherit it
         _comps_table(min(n, _TABLE_ORDER))
-        with get_context("fork").Pool(workers) as pool:
+        with get_context("fork").Pool(min(workers, len(argv))) as pool:
             results = pool.map(_scan_chunk, argv)
     else:
         results = [_scan_chunk(a) for a in argv]

@@ -177,6 +177,13 @@ def test_verify_theorem_bad_tolerance_exit_3(capsys):
         assert "finite and nonnegative" in captured.err
 
 
+def test_verify_theorem_bad_workers_exit_3(capsys):
+    assert run(["verify-theorem", "--n", "5", "--t", "1", "--workers", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers" in captured.err
+
+
 def test_bad_graph6_exit_2(capsys):
     assert run(["spectral-radius", "C"]) == 2
     err = capsys.readouterr().err

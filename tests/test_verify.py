@@ -30,7 +30,6 @@ from toughcert.verify import (
     _TABLE_BLOCK,
     _comps_table,
     _counts,
-    _decode,
     _partitions_desc,
     _scan_chunk,
     enumerate_connected,
@@ -71,22 +70,13 @@ def test_mask_round_trip():
         assert mask_of_graph(graph_from_mask(n, mask)) == mask
 
 
-def test_decode_matches_scalar_decoder():
-    rng = random.Random(41)
-    for n in range(1, 9):
-        m = n * (n - 1) // 2
-        masks = np.array(
-            [0, (1 << m) - 1] + [rng.getrandbits(m) for _ in range(20)], dtype=np.int64
-        )
-        rows = _decode(n, masks)
-        for k, mask in enumerate(masks):
-            assert tuple(int(x) for x in rows[:, k]) == graph_from_mask(n, int(mask)).adj
-
-
-def test_decode_refuses_orders_past_its_row_width():
-    # uint8 rows have no bit for vertex 8: 1 << 8 would wrap to 0
-    with pytest.raises(SizeLimitError):
-        _decode(9, np.array([1 << 35], dtype=np.int64))
+def test_graph_from_mask_rejects_out_of_range_masks():
+    # a mask is C(n, 2) bits: higher bits have no pair to name, and a
+    # negative mask has every bit set
+    assert graph_from_mask(3, 7) == complete(3)
+    for n, mask in ((3, 1 << 3), (3, 1 << 10), (3, -1), (1, 1), (8, 1 << 28)):
+        with pytest.raises(DomainError):
+            graph_from_mask(n, mask)
 
 
 def test_comps_table_matches_component_oracle():
@@ -132,17 +122,26 @@ def test_counts_contract_order_8_to_the_order_7_table():
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
-    def refuse(n, masks):
-        raise AssertionError("the scan decoded its masks")
+    # the scan builds a Graph only for what it eigensolves or recognises
+    built = []
+    real = toughcert.verify.graph_from_mask
 
-    monkeypatch.setattr(toughcert.verify, "_decode", refuse)
+    def counting(n, mask):
+        built.append(mask)
+        return real(n, mask)
+
+    monkeypatch.setattr(toughcert.verify, "graph_from_mask", counting)
     eta = threshold(1, 6).value
     res = _scan_chunk((6, 1, 0, 1 << 15, eta, 1e-9, 1e-9, True))
-    assert res["connected"] == connected_count(6)
-    assert res["exceptional_masks"] and res["eigensolves"]
+    assert res["connected"] == connected_count(6) == 26704
+    assert len(res["exceptional_masks"]) == 30 and res["eigensolves"] == 1475
+    # every eigensolve, plus one build of each of the 30 candidates
+    assert len(built) == 1505
+    built.clear()
     eta = threshold(2, 8).value
     res = _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), eta, 1e-9, 1e-9, True))
     assert res["connected"] > 0
+    assert not built
 
 
 def test_enumerate_connected_order_6_count():
@@ -153,6 +152,12 @@ def test_enumerate_connected_order_6_count():
 def test_enumerate_connected_counts():
     for n in range(1, 6):
         assert sum(1 for _ in enumerate_connected(n)) == connected_count(n)
+
+
+def test_enumerate_connected_matches_brute_list():
+    for n in range(1, 6):
+        brute = [graph_from_mask(n, m) for m in range(1 << (n * (n - 1) // 2))]
+        assert list(enumerate_connected(n)) == [g for g in brute if brute_connected(g)], n
 
 
 def test_enumerate_connected_order_and_guards():
@@ -310,6 +315,13 @@ def test_verify_theorem_order_7_report_bytes(t):
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t]
 
 
+def test_verify_theorem_order_7_report_bytes_with_large_chunks():
+    # four times the default chunk gives the same report bytes
+    summary = verify_theorem(7, 2, chunk_size=1 << 18)
+    text = "".join(line + "\n" for line in report_lines(summary))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
+
+
 def test_verify_theorem_deterministic_reports():
     base = report_lines(verify_theorem(5, 1))
     again = report_lines(verify_theorem(5, 1))
@@ -333,8 +345,8 @@ def test_verify_theorem_guards():
 def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
     # a NaN tolerance would make every band test false (a vacuous "ok"
     # scan with a bare NaN in its scope), a negative eps_eq would report
-    # false spectral-bound failures at (5, 1), and chunk_size=0 would
-    # reach range() as a zero step
+    # false spectral-bound failures at (5, 1), chunk_size=0 would
+    # reach range() as a zero step, and workers=0 would run serially
     for kwargs in (
         {"eps_eq": math.nan},
         {"eps_strict": math.nan},
@@ -345,9 +357,39 @@ def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
         {"chunk_size": 0},
         {"chunk_size": -4},
         {"chunk_size": 64.0},
+        {"workers": 0},
+        {"workers": -2},
+        {"workers": 2.0},
     ):
         with pytest.raises(DomainError):
             verify_theorem(5, 1, **kwargs)
+
+
+def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
+    # no real processes: the fake context records the pool size it is
+    # asked for and maps in this process
+    requested = []
+
+    class FakePool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(toughcert.verify, "get_context", lambda method: FakeContext())
+    capped = verify_theorem(5, 1, workers=10**6, chunk_size=64)
+    assert requested == [16]  # 2^10 masks in chunks of 64
+    assert report_lines(capped) == report_lines(verify_theorem(5, 1))
 
 
 def test_verify_theorem_widened_band_reports_incidents_not_failures():
