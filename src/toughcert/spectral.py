@@ -1,9 +1,10 @@
 """Dense symmetric eigenvalue routines sized for small graphs.
 
 Every eigenvalue comes from LAPACK's symmetric solver through
-``numpy.linalg``: ``eigvalsh`` for the largest adjacency eigenvalue and
-``eigh`` for full spectra, whose residual ||AV - V diag(w)||_F is
-measured and reported.  LAPACK failures surface as ``ConvergenceError``.
+``numpy.linalg``: ``eigvalsh`` for largest adjacency eigenvalues (one
+call for a whole stack of matrices) and ``eigh`` for full spectra,
+whose residual ||AV - V diag(w)||_F is measured and reported.  LAPACK
+failures surface as ``ConvergenceError``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "Spectrum",
     "adjacency_matrix",
     "spectral_radius",
+    "spectral_radii",
     "full_spectrum",
     "quotient_matrix",
     "is_equitable",
@@ -48,12 +50,19 @@ class Spectrum:
         return self.values[0]
 
 
-def spectral_radius(g: Graph) -> float:
-    """Largest adjacency eigenvalue of ``g``."""
+def spectral_radii(adjacency: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of each symmetric matrix in a (k, n, n) float
+    stack, in one solver call.  LAPACK solves the matrices one by one,
+    so each value is the one a single-matrix call gives."""
     try:
-        return float(np.linalg.eigvalsh(adjacency_matrix(g))[-1])
+        return np.linalg.eigvalsh(adjacency)[:, -1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
+
+
+def spectral_radius(g: Graph) -> float:
+    """Largest adjacency eigenvalue of ``g``."""
+    return float(spectral_radii(adjacency_matrix(g)[None])[0])
 
 
 def full_spectrum(matrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:

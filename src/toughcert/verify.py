@@ -14,9 +14,18 @@ scanned by the isolation identity: clearing every pair that meets S
 leaves the vertices of S isolated, so the table entry of the masked
 graph is c(G - S) + |S|, one AND and one lookup per cut.  The table has
 order min(n, 7); at order 8 each cut's lowest vertex is deleted first.
-Degrees are popcounts of the masks.  The spectral side only solves
+The cuts give each graph one toughness level, the largest
+floor((c(G - S) - 1) / |S|): the graph fails 1/t-toughness iff its level
+is at least t.  Up to order 7 the levels of every graph sit in one
+table per process, indexed by edge mask and built for the cut sizes the
+first t needs; a later t reuses it unless it needs larger cuts, so a
+sweep over t = 1..5 that starts at t = 1 scans its cuts once.  Order 8
+computes each chunk's levels for its own t.  Degrees are popcounts of
+the masks, counted only for the sharpness candidates and the graphs the
+edge count leaves undecided.  The spectral side only solves
 eigenproblems for graphs whose cheap degree/edge bounds cannot already
-separate them from the threshold.
+separate them from the threshold, in one batched call on adjacency
+matrices read from the mask bits.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from collections import Counter
@@ -50,7 +60,14 @@ from .graphs import (
     is_extremal,
     to_graph6,
 )
-from .spectral import adjacency_matrix, full_spectrum, quotient_spectrum, is_equitable, spectral_radius
+from .spectral import (
+    adjacency_matrix,
+    full_spectrum,
+    is_equitable,
+    quotient_spectrum,
+    spectral_radii,
+    spectral_radius,
+)
 from .thresholds import (
     JoinCliqueSpec,
     build_join_cliques,
@@ -357,6 +374,82 @@ def _pairs_avoiding(r: int, cut) -> int:
     )
 
 
+def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
+    """Toughness level (uint8) of the order-``n`` graphs with int64 edge
+    ``masks``: the largest floor((c(G - S) - 1) / |S|) over cuts S with
+    1 <= |S| <= ``smax``.  A graph fails 1/t-toughness iff some cut
+    leaves c(G - S) >= t|S| + 1 components, that is iff its level is at
+    least t, once ``smax`` >= (n - 1) // (t + 1): c(G - S) <= n - |S|
+    already rules out larger cuts.
+
+    ANDing the edge masks with the pairs that avoid S isolates every
+    vertex of S, so the component table reads c(G - S) + |S|: one AND
+    and one lookup per cut, and the largest reading per cut size is
+    kept.  Above the table order the cut's lowest vertex is first
+    deleted by gathering the pairs that avoid it (once per vertex, not
+    per cut); the table then reads c(G - S) + |S| - 1."""
+    r = min(n, _TABLE_ORDER)
+    table = _comps_table(r)
+    dropped = n - r
+    best = np.zeros((smax + 1, masks.size), dtype=np.uint8)
+    for drop in combinations(range(n), dropped):
+        base = masks
+        if drop:
+            edge_pos = {pair: e for e, pair in enumerate(_edge_order(n))}
+            rest = [v for v in range(n) if v not in drop]
+            base = np.zeros(masks.size, dtype=np.int64)
+            for k, (a, b) in enumerate(_edge_order(r)):
+                base |= ((masks >> edge_pos[rest[a], rest[b]]) & 1) << k
+        # the rest of the cut lies above the deleted vertices, whose
+        # labels in the remainder are shifted down by ``dropped``
+        above = range(max(drop, default=-1) + 1 - dropped, r)
+        for size in range(max(dropped, 1), smax + 1):
+            for cut in combinations(above, size - dropped):
+                np.maximum(best[size], table[base & _pairs_avoiding(r, cut)], out=best[size])
+    level = np.zeros(masks.size, dtype=np.uint8)
+    reading = np.arange(256)
+    for size in range(1, smax + 1):
+        # a reading of c + size - dropped is level floor((c - 1) / size)
+        lookup = np.maximum((reading - (size - dropped) - 1) // size, 0).astype(np.uint8)
+        np.maximum(level, lookup[best[size]], out=level)
+    return level
+
+
+# order r -> (smax, the levels of every order-r mask for cuts up to smax)
+_LEVEL_TABLES: dict[int, tuple[int, np.ndarray]] = {}
+
+
+def _level_table(r: int, smax: int) -> np.ndarray:
+    """Toughness levels of every connected labeled graph of order ``r``
+    <= ``_TABLE_ORDER`` (0 at disconnected masks), indexed by edge mask,
+    for cuts of size up to at least ``smax``.  One table per order is
+    kept for the process.  A table built for a larger cap answers a
+    smaller one exactly, since level >= t never rests on a cut above
+    (r - 1) // (t + 1); a larger cap rebuilds and replaces it."""
+    held = _LEVEL_TABLES.get(r)
+    if held is None or held[0] < smax:
+        total = 1 << (r * (r - 1) // 2)
+        table = np.zeros(total, dtype=np.uint8)
+        for lo in range(0, total, _TABLE_BLOCK):
+            masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
+            masks = masks[_counts(r, masks) == 1]
+            table[masks] = _levels(r, masks, smax)
+        held = _LEVEL_TABLES[r] = (smax, table)
+    return held[1]
+
+
+def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
+    """(k, n, n) float64 adjacency matrices of the order-``n`` graphs with
+    int64 edge ``masks``, read straight from the mask bits (lex pair
+    order, as in ``graph_from_mask``)."""
+    rows, cols = np.triu_indices(n, 1)
+    bits = (masks[:, None] >> np.arange(rows.size)) & 1
+    out = np.zeros((masks.size, n, n))
+    out[:, rows, cols] = bits
+    out[:, cols, rows] = bits
+    return out
+
+
 def _scan_chunk(args) -> dict:
     """Scan one contiguous edge-mask range for one (n, t).
 
@@ -370,37 +463,23 @@ def _scan_chunk(args) -> dict:
     cmasks = masks[_counts(n, masks) == 1]
     ngraphs = int(cmasks.size)
 
-    # exact toughness side: a graph fails 1/t-toughness iff some cut S of
-    # size s <= (n-1)/(t+1) leaves c(G-S) >= t*s + 1 components.  ANDing
-    # the edge masks with the pairs that avoid S isolates every vertex of
-    # S, so the table reads c(G-S) + s: one AND and one lookup per cut.
-    # Above the table order the cut's lowest vertex is first deleted by
-    # gathering the pairs that avoid it (once per vertex, not per cut);
-    # the table then reads c(G-S) + s - 1.
-    r = min(n, _TABLE_ORDER)
-    table = _comps_table(r)
-    dropped = n - r
-    violated = np.zeros(ngraphs, dtype=bool)
-    for drop in combinations(range(n), dropped):
-        base = cmasks
-        if drop:
-            edge_pos = {pair: e for e, pair in enumerate(_edge_order(n))}
-            rest = [v for v in range(n) if v not in drop]
-            base = np.zeros(ngraphs, dtype=np.int64)
-            for k, (a, b) in enumerate(_edge_order(r)):
-                base |= ((cmasks >> edge_pos[rest[a], rest[b]]) & 1) << k
-        # the rest of the cut lies above the deleted vertices, whose
-        # labels in the remainder are shifted down by ``dropped``
-        above = range(max(drop, default=-1) + 1 - dropped, r)
-        for size in range(max(dropped, 1), (n - 1) // (t + 1) + 1):
-            for cut in combinations(above, size - dropped):
-                comps = table[base & _pairs_avoiding(r, cut)]
-                violated |= comps >= (t + 1) * size + 1 - dropped
+    # exact toughness side: one toughness level per graph answers every
+    # t; up to the table order it is a read of the per-process table
+    smax = (n - 1) // (t + 1)
+    if n <= _TABLE_ORDER:
+        level = _level_table(n, smax)[cmasks]
+    else:
+        level = _levels(n, cmasks, smax)
+    violated = level >= t
 
     everything = (1 << (n * (n - 1) // 2)) - 1
-    degs = np.vstack([
-        np.bitwise_count(cmasks & (everything ^ _pairs_avoiding(n, (v,)))) for v in range(n)
-    ])
+
+    def degrees(idx) -> np.ndarray:
+        """(n, len(idx)) vertex degrees of the graphs at ``idx``."""
+        sub = cmasks[idx]
+        return np.vstack([
+            np.bitwise_count(sub & (everything ^ _pairs_avoiding(n, (v,)))) for v in range(n)
+        ])
 
     # recognize sharpness-example labelings: edge count (half the degree
     # sum), then the degree profile, then the structural test on the few
@@ -411,7 +490,7 @@ def _scan_chunk(args) -> dict:
     edges = np.bitwise_count(cmasks)
     cand = np.nonzero(edges == sum(d * cnt for d, cnt in expected.items()) // 2)[0]
     for d, cnt in expected.items():
-        cand = cand[(degs[:, cand] == d).sum(axis=0) == cnt]
+        cand = cand[(degrees(cand) == d).sum(axis=0) == cnt]
 
     failures: list[dict] = []
     incidents: list[dict] = []
@@ -419,8 +498,29 @@ def _scan_chunk(args) -> dict:
     exceptional_g6: list[str] = []
     eigensolves = 0
 
-    def graph(i) -> Graph:
-        return graph_from_mask(n, int(cmasks[i]))
+    # a Graph is built only for the candidates and for the graphs that
+    # get a report record; eigenvalues come from the mask bits directly
+    def graph6(i) -> str:
+        return to_graph6(graph_from_mask(n, int(cmasks[i])))
+
+    def radii(idx) -> list[float]:
+        nonlocal eigensolves
+        eigensolves += len(idx)
+        return spectral_radii(_adjacency_stack(n, cmasks[idx])).tolist()
+
+    def undecided(among, low: float, high: float = math.inf) -> np.ndarray:
+        """Indices of the graphs flagged in ``among`` whose cheap bounds
+        leave their largest eigenvalue possibly in [low, high]: the upper
+        bounds sqrt(2m - n + 1) and max degree both reach ``low``, and
+        the lower bounds 2m/n and sqrt(max degree) both stay within
+        ``high``.  Each bound is tabulated over its integer argument, and
+        degrees are counted only for graphs the edge count m leaves in."""
+        m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
+        by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
+        idx = np.nonzero(among & by_edges[edges])[0]
+        d = np.arange(n, dtype=np.float64)
+        by_degree = (d >= low) & (np.sqrt(d) <= high)
+        return idx[by_degree[degrees(idx).max(axis=0)]]
 
     def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
@@ -435,46 +535,36 @@ def _scan_chunk(args) -> dict:
         return rec
 
     for i in cand:
-        g = graph(i)
+        g = graph_from_mask(n, int(cmasks[i]))
         if not _extremal_core(g.adj, n, t):
             continue
         if violated[i]:
             exceptional[i] = True
+            exceptional_g6.append(to_graph6(g))
         else:
             failures.append(
                 {**ctx(to_graph6(g)), "kind": "extremal-tough",
                  "detail": "sharpness example came out 1/t-tough"}
             )
 
-    # spectral side for graphs that fail toughness: cheap upper bounds
-    # (max degree, and sqrt(2m - n + 1)) rule most of them out without
-    # an eigensolve
-    mcounts = edges.astype(np.float64)
-    maxdeg = degs.max(axis=0).astype(np.float64)
-    ub = np.minimum(maxdeg, np.sqrt(np.maximum(2.0 * mcounts - n + 1.0, 0.0)))
-    needs = violated & ~exceptional & (ub >= eta - eps_strict)
-    bound_skips = int((violated & ~exceptional & ~needs).sum())
-    for i in np.nonzero(needs)[0]:
-        g = graph(i)
-        lam = spectral_radius(g)
-        eigensolves += 1
+    # spectral side for graphs that fail toughness: the cheap upper
+    # bounds rule most of them out without an eigensolve
+    suspects = violated & ~exceptional
+    needs = undecided(suspects, eta - eps_strict)
+    bound_skips = int(suspects.sum()) - needs.size
+    for i, lam in zip(needs, radii(needs)):
         if lam > eta + eps_eq:
             failures.append(
-                {**ctx(to_graph6(g), lam), "kind": "spectral-bound",
+                {**ctx(graph6(i), lam), "kind": "spectral-bound",
                  "detail": "non-tough non-extremal graph at or above the threshold"}
             )
         elif lam >= eta - eps_strict:
             incidents.append(
-                {**ctx(to_graph6(g), lam), "kind": "tolerance-band",
+                {**ctx(graph6(i), lam), "kind": "tolerance-band",
                  "detail": "eigenvalue within the ambiguity band of the threshold"}
             )
 
-    for i in np.nonzero(exceptional)[0]:
-        g = graph(i)
-        lam = spectral_radius(g)
-        eigensolves += 1
-        g6 = to_graph6(g)
-        exceptional_g6.append(g6)
+    for g6, lam in zip(exceptional_g6, radii(np.nonzero(exceptional)[0])):
         if abs(lam - eta) > eps_eq:
             failures.append(
                 {**ctx(g6, lam), "kind": "sharpness",
@@ -482,15 +572,11 @@ def _scan_chunk(args) -> dict:
             )
 
     if log_curiosities:
-        lb = np.maximum(2.0 * mcounts / n, np.sqrt(maxdeg))
-        near = ~violated & (ub >= eta - eps_eq) & (lb <= eta + eps_eq)
-        for i in np.nonzero(near)[0]:
-            g = graph(i)
-            lam = spectral_radius(g)
-            eigensolves += 1
+        near = undecided(~violated, eta - eps_eq, eta + eps_eq)
+        for i, lam in zip(near, radii(near)):
             if abs(lam - eta) <= eps_eq:
                 incidents.append(
-                    {**ctx(to_graph6(g), lam), "kind": "equality-curiosity",
+                    {**ctx(graph6(i), lam), "kind": "equality-curiosity",
                      "detail": "tough graph with eigenvalue at the threshold"}
                 )
 
@@ -507,6 +593,14 @@ def _scan_chunk(args) -> dict:
         "failures": failures,
         "incidents": incidents,
     }
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def verify_theorem(
@@ -530,7 +624,8 @@ def verify_theorem(
     eigenvalues inside the ambiguity band are recorded as incidents.
     Both tolerances must be finite and nonnegative.  Order 8 must be
     enabled explicitly via ``allow_order_8``.  ``workers`` must be a
-    positive integer; no more processes are forked than there are chunks.
+    positive integer; no more processes are forked than there are chunks
+    or cores this process may run on.
     """
     if not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
@@ -557,10 +652,13 @@ def verify_theorem(
         (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities)
         for lo, hi in ranges
     ]
-    if workers > 1 and len(argv) > 1:
-        # warm the component table before forking so children inherit it
+    processes = min(workers, len(argv), _usable_cores())
+    if processes > 1:
+        # warm the tables before forking so children inherit them
         _comps_table(min(n, _TABLE_ORDER))
-        with get_context("fork").Pool(min(workers, len(argv))) as pool:
+        if n <= _TABLE_ORDER:
+            _level_table(n, (n - 1) // (t + 1))
+        with get_context("fork").Pool(processes) as pool:
             results = pool.map(_scan_chunk, argv)
     else:
         results = [_scan_chunk(a) for a in argv]

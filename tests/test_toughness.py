@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from toughcert import (
@@ -17,7 +18,7 @@ from toughcert import (
     parse_graph6,
     toughness_exact,
 )
-from toughcert.verify import enumerate_connected
+from toughcert.verify import _levels, enumerate_connected, mask_of_graph
 
 from oracles import brute_components, brute_toughness, random_connected_graph
 
@@ -60,11 +61,19 @@ def test_witness_reproduces_the_ratio():
 
 
 def test_matches_unpruned_oracle_exhaustively_small():
+    # also the exhaustive scan's toughness level: level >= t exactly
+    # when the toughness is below 1/t, for every t, from one level per
+    # graph over cuts up to the t = 1 cap
     ts = (Fraction(1, 2), Fraction(3, 2))
     for n in range(1, 7):
-        for g in enumerate_connected(n):
+        graphs = list(enumerate_connected(n))
+        masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.int64)
+        levels = _levels(n, masks, (n - 1) // 2).tolist()
+        for g, level in zip(graphs, levels):
             mine = toughness_exact(g)
             ref = brute_toughness(g)
+            for t in range(1, 5):
+                assert (level >= t) == (ref is not None and ref < Fraction(1, t)), (n, g.adj, t)
             if ref is None:
                 assert mine.infinite
             else:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from toughcert import (
     DomainError,
     HypothesisError,
     SizeLimitError,
+    adjacency_matrix,
     build_extremal,
     certify,
     complete,
@@ -20,6 +22,7 @@ from toughcert import (
     is_connected,
     is_one_over_t_tough,
     parse_graph6,
+    spectral_radius,
     threshold,
     toughness_exact,
 )
@@ -28,8 +31,11 @@ from toughcert.verify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_TOUGH,
     _TABLE_BLOCK,
+    _adjacency_stack,
     _comps_table,
     _counts,
+    _level_table,
+    _levels,
     _partitions_desc,
     _scan_chunk,
     enumerate_connected,
@@ -122,7 +128,8 @@ def test_counts_contract_order_8_to_the_order_7_table():
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
-    # the scan builds a Graph only for what it eigensolves or recognises
+    # the scan builds a Graph only for what it recognises or reports;
+    # eigensolves read their matrices from the mask bits
     built = []
     real = toughcert.verify.graph_from_mask
 
@@ -135,13 +142,62 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
     res = _scan_chunk((6, 1, 0, 1 << 15, eta, 1e-9, 1e-9, True))
     assert res["connected"] == connected_count(6) == 26704
     assert len(res["exceptional_masks"]) == 30 and res["eigensolves"] == 1475
-    # every eigensolve, plus one build of each of the 30 candidates
-    assert len(built) == 1505
+    # one build of each of the 30 candidates, none for the eigensolves
+    assert len(built) == 30
     built.clear()
     eta = threshold(2, 8).value
     res = _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), eta, 1e-9, 1e-9, True))
     assert res["connected"] > 0
     assert not built
+
+
+def test_level_table_matches_levels(monkeypatch):
+    # the scan's level oracle check lives with the unpruned toughness
+    # oracle in test_toughness.py; here the table agrees with _levels
+    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    for n in range(2, 7):
+        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+        cmasks = masks[_counts(n, masks) == 1]
+        smax = (n - 1) // 2
+        level = _levels(n, cmasks, smax)
+        assert level.dtype == np.uint8
+        assert (_level_table(n, smax)[cmasks] == level).all()
+
+
+def test_adjacency_stack_matches_graph_matrices():
+    rng = random.Random(79)
+    for n in range(1, 9):
+        size = 1 << (n * (n - 1) // 2)
+        masks = list(range(size)) if n <= 5 else [0, size - 1] + [rng.randrange(size) for _ in range(300)]
+        stack = _adjacency_stack(n, np.array(masks, dtype=np.int64))
+        assert stack.shape == (len(masks), n, n) and stack.dtype == np.float64
+        for mask, a in zip(masks, stack):
+            assert np.array_equal(a, adjacency_matrix(graph_from_mask(n, mask))), (n, mask)
+
+
+def test_scan_eigensolves_match_single_graph_solves(monkeypatch):
+    # every order-6 graph the scan eigensolves, with curiosities on:
+    # the batched radii equal one-matrix eigvalsh calls bit for bit
+    seen = []
+    real = toughcert.verify.spectral_radii
+
+    def recording(stack):
+        radii = real(stack)
+        seen.append((stack, radii))
+        return radii
+
+    monkeypatch.setattr(toughcert.verify, "spectral_radii", recording)
+    solved = 0
+    for t in range(1, 5):
+        eta = threshold(t, 6).value
+        solved += _scan_chunk((6, t, 0, 1 << 15, eta, 1e-9, 1e-9, True))["eigensolves"]
+    checked = 0
+    for stack, radii in seen:
+        for a, lam in zip(stack, radii.tolist()):
+            g = from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6) if a[i, j]])
+            assert lam == eig_radius(g) == spectral_radius(g)
+            checked += 1
+    assert checked == solved > 1000
 
 
 def test_enumerate_connected_order_6_count():
@@ -315,6 +371,31 @@ def test_verify_theorem_order_7_report_bytes(t):
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t]
 
 
+@pytest.mark.parametrize(
+    "ts, caps",
+    [((1, 2, 3, 4, 5), [3]), ((5, 4, 3, 2, 1), [1, 2, 3]), ((3, 1, 5, 2, 4), [1, 3])],
+)
+def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts, caps):
+    # one level table per process: a table built for a cut cap serves
+    # every t whose cap is no larger, a larger cap rebuilds it, and the
+    # report bytes do not depend on the order the t values come in
+    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    calls = []
+    real = toughcert.verify._levels
+
+    def counting(n, masks, smax):
+        calls.append(smax)
+        return real(n, masks, smax)
+
+    monkeypatch.setattr(toughcert.verify, "_levels", counting)
+    for t in ts:
+        text = "".join(line + "\n" for line in report_lines(verify_theorem(7, t)))
+        assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t], t
+    # a build is one _levels call per block of the 2^21 order-7 masks;
+    # the scan itself reads the table
+    assert calls == [cap for cap in caps for _ in range((1 << 21) // _TABLE_BLOCK)]
+
+
 def test_verify_theorem_order_7_report_bytes_with_large_chunks():
     # four times the default chunk gives the same report bytes
     summary = verify_theorem(7, 2, chunk_size=1 << 18)
@@ -387,9 +468,20 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
         Pool = FakePool
 
     monkeypatch.setattr(toughcert.verify, "get_context", lambda method: FakeContext())
-    capped = verify_theorem(5, 1, workers=10**6, chunk_size=64)
-    assert requested == [16]  # 2^10 masks in chunks of 64
-    assert report_lines(capped) == report_lines(verify_theorem(5, 1))
+    serial = report_lines(verify_theorem(5, 1))
+    for cores, pools in ((64, [16]), (3, [3]), (1, [])):
+        # 2^10 masks in chunks of 64, on the cores in the affinity set
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        requested.clear()
+        capped = verify_theorem(5, 1, workers=10**6, chunk_size=64)
+        assert requested == pools, cores
+        assert report_lines(capped) == serial
+    # without an affinity call the core count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    requested.clear()
+    verify_theorem(5, 1, workers=10**6, chunk_size=64)
+    assert requested == [5]
 
 
 def test_verify_theorem_widened_band_reports_incidents_not_failures():
