@@ -9,20 +9,23 @@ applied to whole mask ranges at once.  The tables, and connectivity at
 order 8, come from one contraction identity: an order-r mask is
 N | sub << (r - 1), with N vertex 0's neighbour set and sub the mask of
 G - 0, and contracting vertex 0 into its lowest neighbour keeps the
-count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).  A cut S is
-scanned by the isolation identity: clearing every pair that meets S
-leaves the vertices of S isolated, so the table entry of the masked
-graph is c(G - S) + |S|, one AND and one lookup per cut.  The table has
-order min(n, 7); at order 8 each cut's lowest vertex is deleted first.
-The cuts give each graph one toughness level, the largest
+count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).
+The cuts S give each graph one toughness level, the largest
 floor((c(G - S) - 1) / |S|): the graph fails 1/t-toughness iff its level
-is at least t.  Up to order 7 the levels of every graph sit in one
-table per process, indexed by edge mask and built for the cut sizes the
-first t needs; a later t reuses it unless it needs larger cuts, so a
-sweep over t = 1..5 that starts at t = 1 scans its cuts once.  Order 8
-computes each chunk's levels for its own t.  Degrees are popcounts of
-the masks, counted only for the sharpness candidates and the graphs the
-edge count leaves undecided.  The spectral side only solves
+is at least t.  Clearing every pair that meets S leaves the vertices of
+S isolated, so the component table reads c(G - S) + |S| at the masked
+graph.  The largest reading over cuts of k vertices follows from the one
+over k - 1 by a recursion over the whole table,
+T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], updated in place from
+the top block down: one gather per vertex and cut size, not one per cut.
+The levels of every mask of order min(n, 7) sit in one table per
+process, built for the cut sizes the first t needs; a later t reuses it
+unless it needs larger cuts, so a sweep over t = 1..5 that starts at
+t = 1 builds it once.  At order 8 the table is built with one vertex of
+every cut deleted beforehand, read at the order-7 mask of G - v for each
+vertex v, and the largest of the eight readings kept.  Degrees are
+popcounts of the masks, counted only for the sharpness candidates and
+the graphs the edge count leaves undecided.  The spectral side only solves
 eigenproblems for graphs whose cheap degree/edge bounds cannot already
 separate them from the threshold, in one batched call on adjacency
 matrices read from the mask bits.
@@ -46,7 +49,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from multiprocessing import get_context
 
 import numpy as np
@@ -307,7 +309,7 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 # Component tables go up to order _TABLE_ORDER: 2^21 uint8 entries
 # (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Every mask
-# pass (the table build, the scan's default chunk, enumeration) takes
+# pass (the table builds, the scan's default chunk, enumeration) takes
 # _TABLE_BLOCK masks at a time, which keeps each int64 temporary at
 # 512 KB.
 _TABLE_ORDER = 7
@@ -364,78 +366,115 @@ def _comps_table(r: int) -> np.ndarray:
     return out
 
 
-# asked for every cut in every chunk, with few distinct arguments
+# the level build and the degree counts ask for one vertex at a time
 @lru_cache(maxsize=None)
-def _pairs_avoiding(r: int, cut) -> int:
+def _pairs_avoiding(r: int, v: int) -> int:
     """Edge mask, in ``graph_from_mask``'s pair order at order ``r``, of
-    the pairs with neither end in ``cut``."""
-    return sum(
-        1 << e for e, (a, b) in enumerate(_edge_order(r)) if a not in cut and b not in cut
-    )
+    the pairs without vertex ``v``."""
+    return sum(1 << e for e, pair in enumerate(_edge_order(r)) if v not in pair)
 
 
-def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
-    """Toughness level (uint8) of the order-``n`` graphs with int64 edge
-    ``masks``: the largest floor((c(G - S) - 1) / |S|) over cuts S with
-    1 <= |S| <= ``smax``.  A graph fails 1/t-toughness iff some cut
-    leaves c(G - S) >= t|S| + 1 components, that is iff its level is at
-    least t, once ``smax`` >= (n - 1) // (t + 1): c(G - S) <= n - |S|
-    already rules out larger cuts.
+@lru_cache(maxsize=None)
+def _runs_avoiding(n: int, v: int) -> tuple[tuple[int, int, int], ...]:
+    """The pairs of order ``n`` that avoid vertex ``v``, as runs
+    (first bit, first bit at order n - 1, length).  Lex order keeps
+    their order after v is deleted and the labels above it shift down.
+    The pairs meeting v are v single bits, (u, v) for u < v, and one
+    run, (v, w) for w > v, so the rest fall into at most v + 2 runs."""
+    runs: list[list[int]] = []
+    kept = 0
+    for e, (a, b) in enumerate(_edge_order(n)):
+        if v in (a, b):
+            continue
+        if runs and runs[-1][0] + runs[-1][2] == e:
+            runs[-1][2] += 1
+        else:
+            runs.append([e, kept, 1])
+        kept += 1
+    return tuple(tuple(run) for run in runs)
 
-    ANDing the edge masks with the pairs that avoid S isolates every
-    vertex of S, so the component table reads c(G - S) + |S|: one AND
-    and one lookup per cut, and the largest reading per cut size is
-    kept.  Above the table order the cut's lowest vertex is first
-    deleted by gathering the pairs that avoid it (once per vertex, not
-    per cut); the table then reads c(G - S) + |S| - 1."""
-    r = min(n, _TABLE_ORDER)
-    table = _comps_table(r)
-    dropped = n - r
-    best = np.zeros((smax + 1, masks.size), dtype=np.uint8)
-    for drop in combinations(range(n), dropped):
-        base = masks
-        if drop:
-            edge_pos = {pair: e for e, pair in enumerate(_edge_order(n))}
-            rest = [v for v in range(n) if v not in drop]
-            base = np.zeros(masks.size, dtype=np.int64)
-            for k, (a, b) in enumerate(_edge_order(r)):
-                base |= ((masks >> edge_pos[rest[a], rest[b]]) & 1) << k
-        # the rest of the cut lies above the deleted vertices, whose
-        # labels in the remainder are shifted down by ``dropped``
-        above = range(max(drop, default=-1) + 1 - dropped, r)
-        for size in range(max(dropped, 1), smax + 1):
-            for cut in combinations(above, size - dropped):
-                np.maximum(best[size], table[base & _pairs_avoiding(r, cut)], out=best[size])
-    level = np.zeros(masks.size, dtype=np.uint8)
-    reading = np.arange(256)
+
+def _delete(n: int, masks: np.ndarray, v: int) -> np.ndarray:
+    """Edge masks at order n - 1 of G - ``v`` for the order-``n`` graphs
+    with int64 edge ``masks``: one shift and mask per run of kept pairs."""
+    out = np.zeros(masks.size, dtype=np.int64)
+    for src, dst, length in _runs_avoiding(n, v):
+        out |= (masks & (((1 << length) - 1) << src)) >> (src - dst)
+    return out
+
+
+# (order, deleted vertices) -> (smax, the levels of every mask for cuts
+# up to smax)
+_LEVEL_TABLES: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
+
+
+def _level_table(r: int, smax: int, deleted: int = 0) -> np.ndarray:
+    """Toughness levels of every labeled graph of order r + ``deleted``
+    (``r`` <= ``_TABLE_ORDER``, ``deleted`` 0 or 1), read at the edge
+    mask of the order-``r`` graph left once the deleted vertex is
+    removed: the largest floor((c(G - S) - 1) / |S|) over cuts S with
+    1 <= |S| <= ``smax`` that contain the deleted vertex.  A graph fails 1/t-toughness iff
+    some cut leaves c(G - S) >= t|S| + 1 components, that is iff its
+    level is at least t, once ``smax`` >= (n - 1) // (t + 1):
+    c(G - S) <= n - |S| already rules out larger cuts.  So one table per
+    (order, deleted) is kept for the process: a table built for a larger
+    cap answers a smaller one exactly, and a larger cap rebuilds and
+    replaces it."""
+    held = _LEVEL_TABLES.get((r, deleted))
+    if held is None or held[0] < smax:
+        held = _LEVEL_TABLES[r, deleted] = (smax, _build_level_table(r, smax, deleted))
+    return held[1]
+
+
+def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
+    """``_level_table``'s levels, by a recursion on cut size.  Clearing
+    the pairs that meet a cut S isolates its vertices, so the component
+    table reads c(G - S) + |S| at the masked graph.  T_0 is the component
+    table and T_k[mask] = max over v of T_{k-1}[mask & avoid(v)] is the
+    largest such reading over cuts of k vertices.  A vertex chosen twice
+    only gives a smaller cut S', whose reading then maps to at most the
+    level S' has itself, so the recursion is exact.  A cut of ``size``
+    vertices isolates size - ``deleted`` of them in the table.
+
+    T_k overwrites T_{k-1} in one buffer, block by block from the top:
+    mask & avoid(v) is a submask, never above mask, so every block reads
+    only itself, gathered before it is written, and blocks still
+    holding T_{k-1}."""
+    total = 1 << (r * (r - 1) // 2)
+    avoid = [_pairs_avoiding(r, v) for v in range(r)]
+    reading = _comps_table(r).copy()
+    level = np.zeros(total, dtype=np.uint8)
+    values = np.arange(256)
     for size in range(1, smax + 1):
-        # a reading of c + size - dropped is level floor((c - 1) / size)
-        lookup = np.maximum((reading - (size - dropped) - 1) // size, 0).astype(np.uint8)
-        np.maximum(level, lookup[best[size]], out=level)
+        isolated = size - deleted
+        # a reading of c + isolated is level floor((c - 1) / size)
+        lookup = np.maximum((values - isolated - 1) // size, 0).astype(np.uint8)
+        for lo in reversed(range(0, total, _TABLE_BLOCK)):
+            hi = min(lo + _TABLE_BLOCK, total)
+            if isolated:
+                masks = np.arange(lo, hi, dtype=np.int64)
+                best = reading[masks & avoid[0]]
+                for a in avoid[1:]:
+                    np.maximum(best, reading[masks & a], out=best)
+                reading[lo:hi] = best
+            np.maximum(level[lo:hi], np.take(lookup, reading[lo:hi]), out=level[lo:hi])
     return level
 
 
-# order r -> (smax, the levels of every order-r mask for cuts up to smax)
-_LEVEL_TABLES: dict[int, tuple[int, np.ndarray]] = {}
-
-
-def _level_table(r: int, smax: int) -> np.ndarray:
-    """Toughness levels of every connected labeled graph of order ``r``
-    <= ``_TABLE_ORDER`` (0 at disconnected masks), indexed by edge mask,
-    for cuts of size up to at least ``smax``.  One table per order is
-    kept for the process.  A table built for a larger cap answers a
-    smaller one exactly, since level >= t never rests on a cut above
-    (r - 1) // (t + 1); a larger cap rebuilds and replaces it."""
-    held = _LEVEL_TABLES.get(r)
-    if held is None or held[0] < smax:
-        total = 1 << (r * (r - 1) // 2)
-        table = np.zeros(total, dtype=np.uint8)
-        for lo in range(0, total, _TABLE_BLOCK):
-            masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
-            masks = masks[_counts(r, masks) == 1]
-            table[masks] = _levels(r, masks, smax)
-        held = _LEVEL_TABLES[r] = (smax, table)
-    return held[1]
+def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
+    """Toughness levels (uint8) of the order-``n`` graphs with int64
+    edge ``masks``, for cuts of up to ``smax`` vertices, read from the
+    level table.  Above the table order every cut holds some vertex v,
+    so the level is the largest over v of the table that counts v in
+    every cut, read at the mask of G - v."""
+    r = min(n, _TABLE_ORDER)
+    table = _level_table(r, smax, n - r)
+    if n == r:
+        return table[masks]
+    level = np.zeros(masks.size, dtype=np.uint8)
+    for v in range(n):
+        np.maximum(level, table[_delete(n, masks, v)], out=level)
+    return level
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
@@ -464,13 +503,8 @@ def _scan_chunk(args) -> dict:
     ngraphs = int(cmasks.size)
 
     # exact toughness side: one toughness level per graph answers every
-    # t; up to the table order it is a read of the per-process table
-    smax = (n - 1) // (t + 1)
-    if n <= _TABLE_ORDER:
-        level = _level_table(n, smax)[cmasks]
-    else:
-        level = _levels(n, cmasks, smax)
-    violated = level >= t
+    # t, read from the per-process level table
+    violated = _levels(n, cmasks, (n - 1) // (t + 1)) >= t
 
     everything = (1 << (n * (n - 1) // 2)) - 1
 
@@ -478,7 +512,7 @@ def _scan_chunk(args) -> dict:
         """(n, len(idx)) vertex degrees of the graphs at ``idx``."""
         sub = cmasks[idx]
         return np.vstack([
-            np.bitwise_count(sub & (everything ^ _pairs_avoiding(n, (v,)))) for v in range(n)
+            np.bitwise_count(sub & (everything ^ _pairs_avoiding(n, v))) for v in range(n)
         ])
 
     # recognize sharpness-example labelings: edge count (half the degree
@@ -655,9 +689,9 @@ def verify_theorem(
     processes = min(workers, len(argv), _usable_cores())
     if processes > 1:
         # warm the tables before forking so children inherit them
-        _comps_table(min(n, _TABLE_ORDER))
-        if n <= _TABLE_ORDER:
-            _level_table(n, (n - 1) // (t + 1))
+        r = min(n, _TABLE_ORDER)
+        _comps_table(r)
+        _level_table(r, (n - 1) // (t + 1), n - r)
         with get_context("fork").Pool(processes) as pool:
             results = pool.map(_scan_chunk, argv)
     else:

@@ -7,6 +7,9 @@ come from numpy's LAPACK bindings on a matrix built entry by entry, and
 in exact rational arithmetic.  Cut enumeration has no pruning,
 isomorphism is brute permutation search, the graph6 codec works on a
 flat list of bits, and ``cubic_sign`` evaluates a cubic in Fractions.
+``cut_levels`` is the exception: it reads the package's component
+table (checked against ``brute_components`` on its own), but scans one
+cut at a time where the package recurses on cut size.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import comb
 import numpy as np
 
 from toughcert import Graph, from_edges
-from toughcert.verify import mask_of_graph
+from toughcert.verify import _comps_table, _edge_order, mask_of_graph
 
 
 def neighbor_sets(g: Graph) -> list[set[int]]:
@@ -63,6 +66,44 @@ def brute_toughness(g: Graph) -> Fraction | None:
             if best is None or ratio < best:
                 best = ratio
     return best
+
+
+def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
+    """Toughness level (uint8) of the order-``n`` graphs (n <= 8) with
+    int64 edge ``masks``: the largest floor((c(G - S) - 1) / |S|) over
+    cuts S with 1 <= |S| <= ``smax``, one cut at a time.  ANDing the
+    masks with the pairs that avoid S isolates S, so the order-7
+    component table reads c(G - S) + |S|; at order 8 each cut's lowest
+    vertex is first deleted, pair by pair, and the table reads one less."""
+    r = min(n, 7)
+    table = _comps_table(r)
+    dropped = n - r
+
+    def avoiding(cut) -> int:
+        return sum(1 << e for e, (a, b) in enumerate(_edge_order(r)) if a not in cut and b not in cut)
+
+    best = np.zeros((smax + 1, masks.size), dtype=np.uint8)
+    for drop in combinations(range(n), dropped):
+        base = masks
+        if drop:
+            edge_pos = {pair: e for e, pair in enumerate(_edge_order(n))}
+            rest = [v for v in range(n) if v not in drop]
+            base = np.zeros(masks.size, dtype=np.int64)
+            for k, (a, b) in enumerate(_edge_order(r)):
+                base |= ((masks >> edge_pos[rest[a], rest[b]]) & 1) << k
+        # the rest of the cut lies above the deleted vertices, whose
+        # labels in the remainder are shifted down by ``dropped``
+        above = range(max(drop, default=-1) + 1 - dropped, r)
+        for size in range(max(dropped, 1), smax + 1):
+            for cut in combinations(above, size - dropped):
+                np.maximum(best[size], table[base & avoiding(cut)], out=best[size])
+    level = np.zeros(masks.size, dtype=np.uint8)
+    reading = np.arange(256)
+    for size in range(1, smax + 1):
+        # a reading of c + size - dropped is level floor((c - 1) / size)
+        lookup = np.maximum((reading - (size - dropped) - 1) // size, 0).astype(np.uint8)
+        np.maximum(level, lookup[best[size]], out=level)
+    return level
 
 
 def eig_radius(g: Graph) -> float:

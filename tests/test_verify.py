@@ -34,9 +34,12 @@ from toughcert.verify import (
     _adjacency_stack,
     _comps_table,
     _counts,
+    _delete,
+    _delete_vertex,
     _level_table,
     _levels,
     _partitions_desc,
+    _runs_avoiding,
     _scan_chunk,
     enumerate_connected,
     graph_from_mask,
@@ -53,6 +56,7 @@ from oracles import (
     brute_components,
     brute_connected,
     connected_count,
+    cut_levels,
     eig_radius,
     labelings_masks,
 )
@@ -151,17 +155,46 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
     assert not built
 
 
-def test_level_table_matches_levels(monkeypatch):
-    # the scan's level oracle check lives with the unpruned toughness
-    # oracle in test_toughness.py; here the table agrees with _levels
-    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-    for n in range(2, 7):
+def test_level_table_matches_cut_oracle(monkeypatch):
+    # the recursion on cut size against one cut at a time: every
+    # connected mask up to order 6 at every cut cap, then a seeded sample
+    # of order 7, whose 32 blocks check the top-down in-place update; the
+    # check against the unpruned toughness oracle is in test_toughness.py
+    for n in range(1, 7):
         masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
         cmasks = masks[_counts(n, masks) == 1]
-        smax = (n - 1) // 2
-        level = _levels(n, cmasks, smax)
+        for cap in range(n):
+            monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+            table = _level_table(n, cap)
+            assert table.dtype == np.uint8 and table.size == masks.size
+            assert (table[cmasks] == cut_levels(n, cmasks, cap)).all(), (n, cap)
+    masks = np.arange(1 << 21, dtype=np.int64)
+    sample = np.random.default_rng(83).choice(masks[_counts(7, masks) == 1], 20_000)
+    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    assert (_level_table(7, 3)[sample] == cut_levels(7, sample, 3)).all()
+
+
+def test_order_8_levels_match_cut_oracle(monkeypatch):
+    # order 8 reads the order-7 table that counts the deleted vertex in
+    # every cut, at the mask of G - v, for each v
+    sample = np.random.default_rng(89).integers(0, 1 << 28, 20_000)
+    for cap in (1, 2, 3):
+        monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+        level = _levels(8, sample, cap)
         assert level.dtype == np.uint8
-        assert (_level_table(n, smax)[cmasks] == level).all()
+        assert (level == cut_levels(8, sample, cap)).all(), cap
+
+
+def test_delete_matches_vertex_deletion():
+    rng = random.Random(97)
+    for n in range(2, 9):
+        masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(50)]
+        for v in range(n):
+            assert len(_runs_avoiding(n, v)) <= v + 2
+            got = _delete(n, np.array(masks, dtype=np.int64), v).tolist()
+            assert got == [
+                mask_of_graph(_delete_vertex(graph_from_mask(n, m), v)) for m in masks
+            ], (n, v)
 
 
 def test_adjacency_stack_matches_graph_matrices():
@@ -380,20 +413,19 @@ def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts, caps):
     # every t whose cap is no larger, a larger cap rebuilds it, and the
     # report bytes do not depend on the order the t values come in
     monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-    calls = []
-    real = toughcert.verify._levels
+    builds = []
+    real = toughcert.verify._build_level_table
 
-    def counting(n, masks, smax):
-        calls.append(smax)
-        return real(n, masks, smax)
+    def counting(r, smax, deleted):
+        builds.append((r, smax))
+        return real(r, smax, deleted)
 
-    monkeypatch.setattr(toughcert.verify, "_levels", counting)
+    monkeypatch.setattr(toughcert.verify, "_build_level_table", counting)
     for t in ts:
         text = "".join(line + "\n" for line in report_lines(verify_theorem(7, t)))
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t], t
-    # a build is one _levels call per block of the 2^21 order-7 masks;
-    # the scan itself reads the table
-    assert calls == [cap for cap in caps for _ in range((1 << 21) // _TABLE_BLOCK)]
+    # one order-7 table build per new largest cap; the scan reads it
+    assert builds == [(7, cap) for cap in caps]
 
 
 def test_verify_theorem_order_7_report_bytes_with_large_chunks():
