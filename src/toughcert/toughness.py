@@ -17,6 +17,12 @@ subsets U:
 Cuts are read in one cached per-order array in (size, lexicographic)
 order, so witnesses are the first cut in that order.  All comparisons
 are done in integers, so the reported value is exact.
+
+``is_one_over_t_tough`` reads a cut plan cached per (n, t): the cuts
+that can violate t |S| >= c(G - S), their sets V - S, and the count
+each must exceed.  A call then only builds the graph's tables and
+compares.  ``certify`` has already checked connectivity, so it enters
+through ``_one_over_t_tough``, which skips that check.
 """
 
 from __future__ import annotations
@@ -65,11 +71,15 @@ class ToughnessResult:
         return f"{self.numerator}/{self.denominator}"
 
 
-def _check_input(g: Graph, max_order: int) -> None:
+def _check_order(g: Graph, max_order: int) -> None:
     if g.n > max_order:
         raise SizeLimitError(
             f"order {g.n} exceeds the exhaustive limit {max_order}"
         )
+
+
+def _check_input(g: Graph, max_order: int) -> None:
+    _check_order(g, max_order)
     if not is_connected(g):
         raise DomainError("toughness is defined for connected graphs only")
 
@@ -113,25 +123,45 @@ def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray]:
     return masks[order], sizes[order]
 
 
+@lru_cache(maxsize=8)
+def _cut_plan(n: int, tn: int, td: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cuts S of order ``n`` that can violate t |S| >= c(G - S) for
+    t = tn / td, in (size, lexicographic) order, with their sets V - S
+    and the count c(G - S) must exceed for S to violate it."""
+    cuts, sizes = _cut_order(n)
+    # c(G - S) <= n - |S|, so only sizes with t |S| < n - |S| can violate
+    top = min((td * n - 1) // (tn + td), n - 2)
+    # the cut order holds the C(n, s) cuts of each size s in turn
+    cuts = cuts[: sum(comb(n, s) for s in range(1, top + 1))]
+    # t s < c exactly when c > floor(t s); a violation also needs c >= 2
+    floor = np.array([max(1, tn * s // td) for s in range(top + 1)], dtype=np.uint8)
+    return cuts, ((1 << n) - 1) ^ cuts, floor[sizes[: cuts.size]]
+
+
 def _component_counts(g: Graph, rests: np.ndarray) -> np.ndarray:
-    """c(G[U]) for every vertex set U in ``rests``."""
+    """c(G[U]) for every nonempty vertex set U in ``rests``."""
     # closed neighbourhoods: nb[R] & U is R | (N(R) & U) for R inside U
     nb = _unions([row | 1 << v for v, row in enumerate(g.adj)])
-    subsets, reach = _subsets(g.n)
+    subsets, low = _subsets(g.n)
+    # the reach and the chains grow in place in copies of the cached
+    # arrays; every index is in range, and mode="clip" writes ``out``
+    # without the buffered copy the default mode makes.
+    reach = low.copy()
     # each step only adds bits, so an unchanged sum is the fixed point
     total = None
     while True:
-        reach = nb[reach]
+        nb.take(reach, out=reach, mode="clip")
         reach &= subsets
         before, total = total, int(reach.sum())
         if total == before:
             break
     # c(G[U]) counts the nonempty sets on the chain U, U ^ R[U], ...
-    nxt = subsets ^ reach
-    counts = np.zeros(rests.size, dtype=np.uint8)
+    nxt = np.bitwise_xor(subsets, reach, out=reach)
+    counts = np.ones(rests.size, dtype=np.uint8)
+    rests = nxt[rests]
     while rests.any():
         counts += rests != 0
-        rests = nxt[rests]
+        nxt.take(rests, out=rests, mode="clip")
     return counts
 
 
@@ -156,6 +186,22 @@ def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessRes
     return ToughnessResult(False, int(sizes[i]), int(counts[i]), _witness(cuts[i]))
 
 
+def _one_over_t_tough(
+    g: Graph, tn: int, td: int, max_order: int = EXHAUSTIVE_LIMIT
+) -> tuple[bool, tuple[int, ...] | None]:
+    """``is_one_over_t_tough`` for t = tn / td > 0 on a graph already
+    known to be connected; only the order is checked."""
+    _check_order(g, max_order)
+    cuts, rests, floor = _cut_plan(g.n, tn, td)
+    if not cuts.size:
+        return True, None
+    violated = _component_counts(g, rests) > floor
+    i = int(violated.argmax())
+    if not violated[i]:
+        return True, None
+    return False, _witness(cuts[i])
+
+
 def is_one_over_t_tough(
     g: Graph, t, max_order: int = EXHAUSTIVE_LIMIT
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -169,20 +215,4 @@ def is_one_over_t_tough(
     frac = Fraction(t)
     if frac <= 0:
         raise DomainError("t must be positive")
-    tn, td = frac.numerator, frac.denominator
-    n = g.n
-    cuts, sizes = _cut_order(n)
-    # c(G - S) <= n - |S|, so only sizes with t |S| < n - |S| can violate
-    top = min((td * n - 1) // (tn + td), n - 2)
-    # the cut order holds the C(n, s) cuts of each size s in turn
-    cuts = cuts[: sum(comb(n, s) for s in range(1, top + 1))]
-    if not cuts.size:
-        return True, None
-    counts = _component_counts(g, ((1 << n) - 1) ^ cuts)
-    # t s < c exactly when c > floor(t s); a violation also needs c >= 2
-    floor = np.array([max(1, tn * s // td) for s in range(top + 1)], dtype=np.int64)
-    violated = counts > floor[sizes[: cuts.size]]
-    i = int(violated.argmax())
-    if not violated[i]:
-        return True, None
-    return False, _witness(cuts[i])
+    return _one_over_t_tough(g, frac.numerator, frac.denominator, max_order)

@@ -59,7 +59,6 @@ from .graphs import (
     _extremal_core,
     from_edges,
     is_connected,
-    is_extremal,
     to_graph6,
 )
 from .spectral import (
@@ -80,7 +79,7 @@ from .thresholds import (
     threshold,
     threshold_cubic,
 )
-from .toughness import is_one_over_t_tough
+from .toughness import _one_over_t_tough
 
 __all__ = [
     "VERDICT_TOUGH",
@@ -226,9 +225,11 @@ def certify(
         raise HypothesisError(f"order {g.n} below t + 2 = {t + 2}")
     if not is_connected(g):
         raise HypothesisError("certification requires a connected graph")
+    # t, the order and connectivity are checked once, above, for the
+    # extremal recognition and the oracle alike
     lam = spectral_radius(g)
     eta = threshold(t, g.n).value
-    if is_extremal(g, t):
+    if _extremal_core(g.adj, g.n, t):
         verdict = VERDICT_EXCEPTIONAL
     elif lam >= eta + epsilon:
         verdict = VERDICT_TOUGH
@@ -236,7 +237,7 @@ def certify(
         verdict = VERDICT_INCONCLUSIVE
     cross: dict | None = None
     if cross_check or (cross_check is None and g.n <= 10):
-        tough, witness = is_one_over_t_tough(g, t)
+        tough, witness = _one_over_t_tough(g, t, 1)
         cross = {"tough": tough, "witness": list(witness) if witness else None}
         if verdict == VERDICT_TOUGH and not tough:
             raise ArithmeticError(
@@ -523,8 +524,11 @@ def _scan_chunk(args) -> dict:
     expected[1] += t
     edges = np.bitwise_count(cmasks)
     cand = np.nonzero(edges == sum(d * cnt for d, cnt in expected.items()) // 2)[0]
+    cand_degrees = degrees(cand)
+    profile = np.ones(cand.size, dtype=bool)
     for d, cnt in expected.items():
-        cand = cand[(degrees(cand) == d).sum(axis=0) == cnt]
+        profile &= (cand_degrees == d).sum(axis=0) == cnt
+    cand = cand[profile]
 
     failures: list[dict] = []
     incidents: list[dict] = []
@@ -539,6 +543,8 @@ def _scan_chunk(args) -> dict:
 
     def radii(idx) -> list[float]:
         nonlocal eigensolves
+        if not len(idx):
+            return []
         eigensolves += len(idx)
         return spectral_radii(_adjacency_stack(n, cmasks[idx])).tolist()
 
@@ -551,7 +557,8 @@ def _scan_chunk(args) -> dict:
         degrees are counted only for graphs the edge count m leaves in."""
         m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
         by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
-        idx = np.nonzero(among & by_edges[edges])[0]
+        idx = np.nonzero(among)[0]
+        idx = idx[by_edges[edges[idx]]]
         d = np.arange(n, dtype=np.float64)
         by_degree = (d >= low) & (np.sqrt(d) <= high)
         return idx[by_degree[degrees(idx).max(axis=0)]]

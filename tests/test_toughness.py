@@ -18,6 +18,7 @@ from toughcert import (
     parse_graph6,
     toughness_exact,
 )
+from toughcert.toughness import _cut_plan
 from toughcert.verify import _level_table, enumerate_connected, mask_of_graph
 
 from oracles import brute_components, brute_toughness, random_connected_graph
@@ -183,6 +184,25 @@ def test_predicate_accepts_fractions():
         is_one_over_t_tough(c4, 0)
     with pytest.raises(DomainError):
         is_one_over_t_tough(c4, Fraction(-1, 2))
+
+
+def test_cut_plan_cache_keys_t_exactly():
+    # one process, one cache: each t reads a plan built for its own
+    # numerator and denominator, in either order, whether t comes as an
+    # int or a Fraction, and the cache stays bounded
+    rng = random.Random(61)
+    graphs = list(enumerate_connected(5))
+    graphs += [random_connected_graph(rng, 7, rng.uniform(0.3, 0.8)) for _ in range(40)]
+    refs = [brute_toughness(g) for g in graphs]
+    order = [1, Fraction(1, 2), 3, Fraction(3, 2)]
+    _cut_plan.cache_clear()
+    for t in order + order[::-1]:
+        for g, ref in zip(graphs, refs):
+            expected = ref is None or ref >= 1 / Fraction(t)
+            got = is_one_over_t_tough(g, t)
+            assert got[0] == expected, (g.adj, t)
+            assert is_one_over_t_tough(g, Fraction(t)) == got
+    assert _cut_plan.cache_info().currsize <= _cut_plan.cache_info().maxsize == 8
 
 
 def test_predicate_agrees_with_exact_value():

@@ -59,6 +59,7 @@ from oracles import (
     cut_levels,
     eig_radius,
     labelings_masks,
+    random_connected_graph,
 )
 
 # sha256 of the verify_theorem(7, t) report bytes, t = 1..5 (the values
@@ -332,6 +333,42 @@ def test_certify_hypothesis_errors():
         certify(complete(2), 1)  # order below t + 2
     with pytest.raises(HypothesisError):
         certify(complete(4), 0)
+
+
+def test_certify_checks_connectivity_once(monkeypatch):
+    import toughcert.graphs
+
+    calls = []
+    reach = toughcert.graphs._reach
+
+    def counted(adj, start, within):
+        calls.append(within)
+        return reach(adj, start, within)
+
+    monkeypatch.setattr(toughcert.graphs, "_reach", counted)
+    rng = random.Random(12)
+    for n in (8, 30):
+        done = 0
+        while done < 5:
+            g = random_connected_graph(rng, n, 0.5)
+            # a dominating vertex sends the recognizer on to split G - hub
+            if any(row.bit_count() == n - 1 for row in g.adj):
+                continue
+            calls.clear()
+            rep = certify(g, 1)
+            assert len(calls) == 1, (n, len(calls))
+            # the exact cross-check runs at order 8 and not at order 30
+            assert (rep.cross_check is not None) == (n == 8)
+            done += 1
+    # the sharpness example: its components after the hub are split, but
+    # the whole vertex set is searched once, by the connectivity check
+    for n, t in ((8, 1), (8, 2), (10, 3)):
+        calls.clear()
+        assert certify(build_extremal(t, n), t).verdict == VERDICT_EXCEPTIONAL
+        assert calls.count((1 << n) - 1) == 1
+    # a forced cross-check still refuses orders past the exhaustive limit
+    with pytest.raises(SizeLimitError):
+        certify(complete(21), 1, cross_check=True)
 
 
 def test_certify_never_contradicts_exact_oracle_small():
