@@ -212,32 +212,24 @@ def components_after_removal(g: Graph, removed) -> int:
     return len(_component_masks(g.adj, remaining))
 
 
-def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
-    for v in _bits(mask):
-        if adj[v] & mask != mask ^ (1 << v):
-            return False
-    return True
-
-
 def _extremal_core(adj: tuple[int, ...], n: int, t: int) -> bool:
-    """Recognition shared with the exhaustive verifier: one dominating
-    vertex whose removal leaves a clique of order n-t-1 plus t isolated
-    vertices."""
+    """Whether the rows are those of K1 v (K_{n-t-1} u tK1), read off
+    the rows alone: one dominating vertex h, t leaves whose row is
+    exactly h, and the other n - t - 1 vertices K, each adjacent to h and
+    to the rest of K.  At n = t + 2 the lone vertex of K is a leaf as
+    well, so the star has t + 1 leaves."""
     full = (1 << n) - 1
-    hub = -1
-    for v in range(n):
-        if adj[v] == full ^ (1 << v):
-            if hub >= 0:
-                return False
-            hub = v
-    if hub < 0:
+    hubs = [v for v in range(n) if adj[v] == full ^ (1 << v)]
+    if len(hubs) != 1:
         return False
-    rest = full ^ (1 << hub)
-    comps = _component_masks(adj, rest)
-    sizes = sorted(c.bit_count() for c in comps)
-    if sizes != sorted([n - t - 1] + [1] * t):
+    hub = 1 << hubs[0]
+    leaves = sum(1 << v for v in range(n) if adj[v] == hub)
+    if n == t + 2:
+        return leaves.bit_count() == t + 1
+    if leaves.bit_count() != t:
         return False
-    return all(_is_clique(adj, c) for c in comps)
+    clique = full ^ hub ^ leaves
+    return all(adj[v] == (clique ^ 1 << v) | hub for v in _bits(clique))
 
 
 def is_extremal(g: Graph, t: int) -> bool:

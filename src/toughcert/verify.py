@@ -23,12 +23,15 @@ process, built for the cut sizes the first t needs; a later t reuses it
 unless it needs larger cuts, so a sweep over t = 1..5 that starts at
 t = 1 builds it once.  At order 8 the table is built with one vertex of
 every cut deleted beforehand, read at the order-7 mask of G - v for each
-vertex v, and the largest of the eight readings kept.  Degrees are
-popcounts of the masks, counted only for the sharpness candidates and
-the graphs the edge count leaves undecided.  The spectral side only solves
-eigenproblems for graphs whose cheap degree/edge bounds cannot already
-separate them from the threshold, in one batched call on adjacency
-matrices read from the mask bits.
+vertex v, and the largest of the eight readings kept.  Up to order 7 a
+scan chunk is a contiguous mask range, so it reads both tables as
+slices.  The sharpness examples are not searched for: the masks of all
+their labelings are enumerated once per (n, t) and located in the
+chunk's sorted connected masks.  Degrees are popcounts of the masks,
+counted only for the graphs the edge count leaves undecided.  The
+spectral side only solves eigenproblems for graphs whose cheap
+degree/edge bounds cannot already separate them from the threshold, in
+one batched call on adjacency matrices read from the mask bits.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -46,9 +49,9 @@ import math
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
 from multiprocessing import get_context
 
 import numpy as np
@@ -160,8 +163,13 @@ def enumerate_connected(n: int):
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, _TABLE_BLOCK):
-        masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
-        for mask in masks[_counts(n, masks) == 1].tolist():
+        hi = min(lo + _TABLE_BLOCK, total)
+        if n <= _TABLE_ORDER:
+            masks = np.flatnonzero(_comps_table(n)[lo:hi] == 1) + lo
+        else:
+            masks = np.arange(lo, hi, dtype=np.int64)
+            masks = masks[_counts(n, masks) == 1]
+        for mask in masks.tolist():
             yield graph_from_mask(n, mask)
 
 
@@ -310,11 +318,14 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 # Component tables go up to order _TABLE_ORDER: 2^21 uint8 entries
 # (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Every mask
-# pass (the table builds, the scan's default chunk, enumeration) takes
-# _TABLE_BLOCK masks at a time, which keeps each int64 temporary at
-# 512 KB.
+# pass (the component tables, the scan's default chunk, enumeration)
+# takes _TABLE_BLOCK masks at a time, which keeps each int64 temporary
+# at 512 KB.  The level build gathers _LEVEL_BLOCK masks at a time
+# through one int64 index array per vertex, 0.9 MB for all seven at
+# order 7; at 2^16 masks they raise an order-7 sweep's peak RSS by 4 MB.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
+_LEVEL_BLOCK = 1 << 14
 # the scan contracts or deletes at most one vertex before its lookup
 assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
 
@@ -357,13 +368,22 @@ def _counts(r: int, masks: np.ndarray) -> np.ndarray:
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
     by edge mask.  uint8, built once per process by the contraction
-    identity from the table of order r - 1, down to c_1 = [1]."""
+    identity from the table of order r - 1, down to c_1 = [1].  A block
+    of masks is a block of rows sub, each followed by every neighbour
+    set N of vertex 0, so it is one read of the lower table at
+    sub | star[N], plus one in the column N = 0."""
     total = 1 << (r * (r - 1) // 2)
     out = np.ones(total, dtype=np.uint8)
     if r > 1:
+        lower = _comps_table(r - 1)
+        star = _star(r)
+        width = star.size
         for lo in range(0, total, _TABLE_BLOCK):
             hi = min(lo + _TABLE_BLOCK, total)
-            out[lo:hi] = _contract(r, np.arange(lo, hi, dtype=np.int64))
+            rows = np.arange(lo // width, hi // width, dtype=np.int64)
+            block = out[lo:hi].reshape(-1, width)
+            np.take(lower, rows[:, None] | star, out=block)
+            block[:, 0] += 1
     return out
 
 
@@ -442,36 +462,40 @@ def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
     only itself, gathered before it is written, and blocks still
     holding T_{k-1}."""
     total = 1 << (r * (r - 1) // 2)
+    block = min(total, _LEVEL_BLOCK)
     avoid = [_pairs_avoiding(r, v) for v in range(r)]
+    # lo is a multiple of the block, so (lo + i) & a = (lo & a) + (i & a):
+    # a block reads the table from lo & a on, at one index array per vertex
+    low = [np.arange(block, dtype=np.int64) & a for a in avoid]
     reading = _comps_table(r).copy()
     level = np.zeros(total, dtype=np.uint8)
+    best = np.empty(block, dtype=np.uint8)
+    gathered = np.empty(block, dtype=np.uint8)
     values = np.arange(256)
     for size in range(1, smax + 1):
         isolated = size - deleted
         # a reading of c + isolated is level floor((c - 1) / size)
         lookup = np.maximum((values - isolated - 1) // size, 0).astype(np.uint8)
-        for lo in reversed(range(0, total, _TABLE_BLOCK)):
-            hi = min(lo + _TABLE_BLOCK, total)
+        for lo in reversed(range(0, total, block)):
+            hi = lo + block
             if isolated:
-                masks = np.arange(lo, hi, dtype=np.int64)
-                best = reading[masks & avoid[0]]
-                for a in avoid[1:]:
-                    np.maximum(best, reading[masks & a], out=best)
+                np.take(reading[lo & avoid[0]:], low[0], out=best)
+                for a, idx in zip(avoid[1:], low[1:]):
+                    np.take(reading[lo & a:], idx, out=gathered)
+                    np.maximum(best, gathered, out=best)
                 reading[lo:hi] = best
             np.maximum(level[lo:hi], np.take(lookup, reading[lo:hi]), out=level[lo:hi])
     return level
 
 
 def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
-    """Toughness levels (uint8) of the order-``n`` graphs with int64
-    edge ``masks``, for cuts of up to ``smax`` vertices, read from the
-    level table.  Above the table order every cut holds some vertex v,
-    so the level is the largest over v of the table that counts v in
-    every cut, read at the mask of G - v."""
-    r = min(n, _TABLE_ORDER)
-    table = _level_table(r, smax, n - r)
-    if n == r:
-        return table[masks]
+    """Toughness levels (uint8) of the graphs of order
+    n = _TABLE_ORDER + 1 with int64 edge ``masks``, for cuts of up to
+    ``smax`` vertices.  Every cut holds some vertex v, so the level is the
+    largest over v of the order-7 level table that counts v in every
+    cut, read at the mask of G - v.  Up to the table order the scan reads
+    the level table itself."""
+    table = _level_table(n - 1, smax, 1)
     level = np.zeros(masks.size, dtype=np.uint8)
     for v in range(n):
         np.maximum(level, table[_delete(n, masks, v)], out=level)
@@ -490,6 +514,23 @@ def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _extremal_masks(n: int, t: int) -> np.ndarray:
+    """Sorted int64 edge masks of every labeling of the sharpness example
+    K1 v (K_{n-t-1} u tK1), one per hub and set of t leaves.  At
+    n = t + 2 the lone clique vertex is a leaf too, so every leaf set of
+    a hub gives the same star and the order has n labelings.  A pair is
+    an edge iff it meets the hub or misses every leaf."""
+    found = set()
+    for hub in range(n):
+        for leaves in combinations([v for v in range(n) if v != hub], t):
+            found.add(sum(
+                1 << e for e, pair in enumerate(_edge_order(n))
+                if hub in pair or not set(pair) & set(leaves)
+            ))
+    return np.array(sorted(found), dtype=np.int64)
+
+
 def _scan_chunk(args) -> dict:
     """Scan one contiguous edge-mask range for one (n, t).
 
@@ -497,17 +538,24 @@ def _scan_chunk(args) -> dict:
     counts cannot change the merged result.
     """
     (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
-    masks = np.arange(lo, hi, dtype=np.int64)
+    smax = (n - 1) // (t + 1)
 
-    # connected graphs are those with one component; nothing is decoded
-    cmasks = masks[_counts(n, masks) == 1]
+    # connected graphs are those with one component; nothing is decoded.
+    # Exact toughness side: one toughness level per graph answers every
+    # t, read from the per-process level table.  Up to the table order
+    # the chunk is a slice of both tables.
+    if n <= _TABLE_ORDER:
+        conn = _comps_table(n)[lo:hi] == 1
+        cmasks = np.flatnonzero(conn) + lo
+        violated = _level_table(n, smax)[lo:hi][conn] >= t
+    else:
+        masks = np.arange(lo, hi, dtype=np.int64)
+        cmasks = masks[_counts(n, masks) == 1]
+        violated = _levels(n, cmasks, smax) >= t
     ngraphs = int(cmasks.size)
 
-    # exact toughness side: one toughness level per graph answers every
-    # t, read from the per-process level table
-    violated = _levels(n, cmasks, (n - 1) // (t + 1)) >= t
-
     everything = (1 << (n * (n - 1) // 2)) - 1
+    edges = np.bitwise_count(cmasks)
 
     def degrees(idx) -> np.ndarray:
         """(n, len(idx)) vertex degrees of the graphs at ``idx``."""
@@ -516,19 +564,12 @@ def _scan_chunk(args) -> dict:
             np.bitwise_count(sub & (everything ^ _pairs_avoiding(n, v))) for v in range(n)
         ])
 
-    # recognize sharpness-example labelings: edge count (half the degree
-    # sum), then the degree profile, then the structural test on the few
-    # candidates
-    expected = Counter({n - 1: 1})
-    expected[n - t - 1] += n - t - 1
-    expected[1] += t
-    edges = np.bitwise_count(cmasks)
-    cand = np.nonzero(edges == sum(d * cnt for d, cnt in expected.items()) // 2)[0]
-    cand_degrees = degrees(cand)
-    profile = np.ones(cand.size, dtype=bool)
-    for d, cnt in expected.items():
-        profile &= (cand_degrees == d).sum(axis=0) == cnt
-    cand = cand[profile]
+    # the sharpness-example labelings are enumerated, not searched for;
+    # all of them are connected, so each one in the range is in cmasks
+    named = _extremal_masks(n, t)
+    named = named[(named >= lo) & (named < hi)]
+    sharp = np.searchsorted(cmasks, named)
+    assert np.array_equal(cmasks[sharp], named), "a sharpness labeling was not scanned"
 
     failures: list[dict] = []
     incidents: list[dict] = []
@@ -536,8 +577,8 @@ def _scan_chunk(args) -> dict:
     exceptional_g6: list[str] = []
     eigensolves = 0
 
-    # a Graph is built only for the candidates and for the graphs that
-    # get a report record; eigenvalues come from the mask bits directly
+    # a Graph is built only for the graphs that get a report record or an
+    # exceptional listing; eigenvalues come from the mask bits directly
     def graph6(i) -> str:
         return to_graph6(graph_from_mask(n, int(cmasks[i])))
 
@@ -575,16 +616,13 @@ def _scan_chunk(args) -> dict:
             rec["lambda1"] = _round12(lam)
         return rec
 
-    for i in cand:
-        g = graph_from_mask(n, int(cmasks[i]))
-        if not _extremal_core(g.adj, n, t):
-            continue
+    for i in sharp:
         if violated[i]:
             exceptional[i] = True
-            exceptional_g6.append(to_graph6(g))
+            exceptional_g6.append(graph6(i))
         else:
             failures.append(
-                {**ctx(to_graph6(g)), "kind": "extremal-tough",
+                {**ctx(graph6(i)), "kind": "extremal-tough",
                  "detail": "sharpness example came out 1/t-tough"}
             )
 
@@ -592,7 +630,7 @@ def _scan_chunk(args) -> dict:
     # bounds rule most of them out without an eigensolve
     suspects = violated & ~exceptional
     needs = undecided(suspects, eta - eps_strict)
-    bound_skips = int(suspects.sum()) - needs.size
+    bound_skips = int(np.count_nonzero(suspects)) - needs.size
     for i, lam in zip(needs, radii(needs)):
         if lam > eta + eps_eq:
             failures.append(
@@ -621,12 +659,13 @@ def _scan_chunk(args) -> dict:
                      "detail": "tough graph with eigenvalue at the threshold"}
                 )
 
+    not_tough = int(np.count_nonzero(violated))
     return {
         "lo": lo,
         "hi": hi,
         "connected": ngraphs,
-        "tough": int((~violated).sum()),
-        "not_tough": int(violated.sum()),
+        "tough": ngraphs - not_tough,
+        "not_tough": not_tough,
         "exceptional_masks": [int(x) for x in cmasks[exceptional]],
         "exceptional_g6": exceptional_g6,
         "eigensolves": eigensolves,

@@ -5,8 +5,10 @@ component counts run on vertex sets instead of bitmasks, eigenvalues
 come from numpy's LAPACK bindings on a matrix built entry by entry, and
 ``radius_below`` brackets the largest eigenvalue without LAPACK at all,
 in exact rational arithmetic.  Cut enumeration has no pruning,
-isomorphism is brute permutation search, the graph6 codec works on a
-flat list of bits, and ``cubic_sign`` evaluates a cubic in Fractions.
+isomorphism is brute permutation search, the sharpness example is
+recognized by splitting G - hub into components where the package reads
+its rows, the graph6 codec works on a flat list of bits, and
+``cubic_sign`` evaluates a cubic in Fractions.
 ``cut_levels`` is the exception: it reads the package's component
 table (checked against ``brute_components`` on its own), but scans one
 cut at a time where the package recurses on cut size.
@@ -51,6 +53,30 @@ def _count_components(nbrs: list[set[int]], left: set[int]) -> int:
 
 def brute_connected(g: Graph) -> bool:
     return brute_components(g, set()) == 1
+
+
+def bfs_extremal(g: Graph, t: int) -> bool:
+    """Whether ``g`` is K1 v (K_{n-t-1} u tK1), by splitting G - hub into
+    its components: one dominating vertex whose removal leaves a clique
+    of order n - t - 1 plus t isolated vertices."""
+    nbrs = neighbor_sets(g)
+    hubs = [v for v in range(g.n) if len(nbrs[v]) == g.n - 1]
+    if len(hubs) != 1:
+        return False
+    left = set(range(g.n)) - set(hubs)
+    comps = []
+    while left:
+        stack = [min(left)]
+        seen = {stack[0]}
+        while stack:
+            for u in nbrs[stack.pop()] & left - seen:
+                seen.add(u)
+                stack.append(u)
+        comps.append(seen)
+        left -= seen
+    if sorted(len(c) for c in comps) != sorted([g.n - t - 1] + [1] * t):
+        return False
+    return all(nbrs[v] & c == c - {v} for c in comps for v in c)
 
 
 def brute_toughness(g: Graph) -> Fraction | None:

@@ -18,10 +18,12 @@ from toughcert import (
     parse_graph6,
     to_graph6,
 )
+from toughcert.graphs import _extremal_core
 from toughcert.thresholds import build_extremal
 from toughcert.verify import enumerate_connected, graph_from_mask
 
 from oracles import (
+    bfs_extremal,
     brute_components,
     brute_connected,
     graph6_decode,
@@ -179,6 +181,22 @@ def test_is_extremal_matches_oracle_sampled_order_6():
                 assert is_extremal(g, t) == isomorphic(g, targets[t])
             checked += 1
     assert checked > 1500
+
+
+def test_row_recognizer_matches_bfs_reference():
+    # the recognizer reads the shape off the rows; the reference splits
+    # G - hub into components.  Every labeled graph of order <= 6,
+    # disconnected ones included, at every t <= n - 2
+    accepted = 0
+    for n in range(3, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            for t in range(1, n - 1):
+                got = _extremal_core(g.adj, n, t)
+                assert got == bfs_extremal(g, t), (n, mask, t)
+                accepted += got
+    # n * C(n - 1, t) labelings per (n, t), n of them for the star
+    assert accepted == 3 + (4 * 3 + 4) + (5 * 4 + 5 * 6 + 5) + (6 * 5 + 6 * 10 + 6 * 10 + 6)
 
 
 def test_graph6_known_strings():

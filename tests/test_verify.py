@@ -4,6 +4,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from toughcert import (
     threshold,
     toughness_exact,
 )
+from toughcert.graphs import _extremal_core
 from toughcert.verify import (
     VERDICT_EXCEPTIONAL,
     VERDICT_INCONCLUSIVE,
@@ -36,11 +38,13 @@ from toughcert.verify import (
     _counts,
     _delete,
     _delete_vertex,
+    _extremal_masks,
     _level_table,
     _levels,
     _partitions_desc,
     _runs_avoiding,
     _scan_chunk,
+    _star,
     enumerate_connected,
     graph_from_mask,
     mask_of_graph,
@@ -110,6 +114,21 @@ def test_comps_table_blocks_match_component_oracle():
         assert table[mask] == brute_components(graph_from_mask(7, mask), set()), mask
 
 
+def test_comps_table_matches_contraction_of_every_mask():
+    # the table reads each block as rows of sub by columns of N; the
+    # reference contracts vertex 0 mask by mask, one block at a time,
+    # from a c_1 = [1] of its own
+    ref = np.ones(1, dtype=np.uint8)
+    for r in range(2, 8):
+        total = 1 << (r * (r - 1) // 2)
+        lower, ref = ref, np.empty(total, dtype=np.uint8)
+        for lo in range(0, total, _TABLE_BLOCK):
+            masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
+            near = masks & ((1 << (r - 1)) - 1)
+            ref[lo:lo + masks.size] = lower[(masks >> (r - 1)) | _star(r)[near]] + (near == 0)
+        assert np.array_equal(_comps_table(r), ref), r
+
+
 def test_counts_match_component_oracle_on_every_small_mask():
     for r in range(1, 6):
         masks = np.arange(1 << (r * (r - 1) // 2), dtype=np.int64)
@@ -133,7 +152,7 @@ def test_counts_contract_order_8_to_the_order_7_table():
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
-    # the scan builds a Graph only for what it recognises or reports;
+    # the scan builds a Graph only for what it lists or reports;
     # eigensolves read their matrices from the mask bits
     built = []
     real = toughcert.verify.graph_from_mask
@@ -147,7 +166,8 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
     res = _scan_chunk((6, 1, 0, 1 << 15, eta, 1e-9, 1e-9, True))
     assert res["connected"] == connected_count(6) == 26704
     assert len(res["exceptional_masks"]) == 30 and res["eigensolves"] == 1475
-    # one build of each of the 30 candidates, none for the eigensolves
+    # one build for each of the 30 exceptional labelings, none for the
+    # eigensolves
     assert len(built) == 30
     built.clear()
     eta = threshold(2, 8).value
@@ -235,8 +255,11 @@ def test_scan_eigensolves_match_single_graph_solves(monkeypatch):
 
 
 def test_enumerate_connected_order_6_count():
-    # OEIS A001187: connected labeled graphs on 6 vertices
-    assert sum(1 for _ in enumerate_connected(6)) == 26704
+    # OEIS A001187: connected labeled graphs on 6 vertices, in
+    # increasing mask order across the enumeration's blocks
+    masks = [mask_of_graph(g) for g in enumerate_connected(6)]
+    assert len(masks) == 26704
+    assert masks == sorted(set(masks))
 
 
 def test_enumerate_connected_counts():
@@ -348,24 +371,22 @@ def test_certify_checks_connectivity_once(monkeypatch):
     monkeypatch.setattr(toughcert.graphs, "_reach", counted)
     rng = random.Random(12)
     for n in (8, 30):
-        done = 0
-        while done < 5:
+        for _ in range(5):
             g = random_connected_graph(rng, n, 0.5)
-            # a dominating vertex sends the recognizer on to split G - hub
-            if any(row.bit_count() == n - 1 for row in g.adj):
-                continue
             calls.clear()
             rep = certify(g, 1)
             assert len(calls) == 1, (n, len(calls))
             # the exact cross-check runs at order 8 and not at order 30
             assert (rep.cross_check is not None) == (n == 8)
-            done += 1
-    # the sharpness example: its components after the hub are split, but
-    # the whole vertex set is searched once, by the connectivity check
-    for n, t in ((8, 1), (8, 2), (10, 3)):
-        calls.clear()
-        assert certify(build_extremal(t, n), t).verdict == VERDICT_EXCEPTIONAL
-        assert calls.count((1 << n) - 1) == 1
+    # the recognizer reads the sharpness example off its rows, so it
+    # searches nothing, and neither does it for a graph one edge away
+    for n, t in ((8, 1), (8, 2), (10, 3), (5, 3)):
+        example = build_extremal(t, n)
+        near = from_edges(n, list(example.edges()) + [(n - 2, n - 1)])
+        for g, exceptional in ((example, True), (near, False)):
+            calls.clear()
+            assert (certify(g, t).verdict == VERDICT_EXCEPTIONAL) == exceptional
+            assert len(calls) == 1, (n, t, len(calls))
     # a forced cross-check still refuses orders past the exhaustive limit
     with pytest.raises(SizeLimitError):
         certify(complete(21), 1, cross_check=True)
@@ -417,6 +438,42 @@ def test_verify_theorem_toughness_flags_match_exact_oracle():
             if is_one_over_t_tough(g, t)[0]
         )
         assert summary.counts["tough"] == tough_count
+
+
+def test_extremal_masks_are_the_recognized_labelings():
+    # every labeled graph of order <= 6 at every t <= n - 2: the
+    # enumerated labelings are exactly the masks the recognizer accepts
+    for n in range(3, 7):
+        graphs = [graph_from_mask(n, m) for m in range(1 << (n * (n - 1) // 2))]
+        for t in range(1, n - 1):
+            accepted = [m for m, g in enumerate(graphs) if _extremal_core(g.adj, n, t)]
+            assert _extremal_masks(n, t).tolist() == accepted, (n, t)
+
+
+def test_extremal_masks_count():
+    # one labeling per hub and leaf set; at n = t + 2 every leaf set of
+    # a hub gives the same star
+    for n in range(3, 9):
+        for t in range(1, n - 1):
+            masks = _extremal_masks(n, t)
+            assert masks.dtype == np.int64
+            assert np.all(np.diff(masks) > 0)
+            assert masks.size == (n if n == t + 2 else n * comb(n - 1, t)), (n, t)
+
+
+def test_order_7_scan_reads_tables_as_slices(monkeypatch):
+    # up to the table order a chunk is a slice of the component and
+    # level tables, and so is an enumeration block: no per-mask count or
+    # level lookup
+    def refuse(*args):
+        raise AssertionError("table read through an index array")
+
+    monkeypatch.setattr(toughcert.verify, "_counts", refuse)
+    monkeypatch.setattr(toughcert.verify, "_levels", refuse)
+    text = "".join(line + "\n" for line in report_lines(verify_theorem(7, 2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
+    assert verify_theorem(5, 1, log_curiosities=True, chunk_size=100).ok
+    assert sum(1 for _ in enumerate_connected(6)) == 26704
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
