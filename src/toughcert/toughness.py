@@ -14,9 +14,10 @@ subsets U:
 - c(G[U]) is the number of steps from U to 0 along U -> U ^ R[U],
   followed only from the sets V - S of the cuts being asked about.
 
-Cuts are read in one cached per-order array in (size, lexicographic)
-order, so witnesses are the first cut in that order.  All comparisons
-are done in integers, so the reported value is exact.
+Cuts and their sets V - S are read from arrays cached per order in
+(size, lexicographic) order, so witnesses are the first cut in that
+order.  All comparisons are done in integers, with the ratio keys also
+cached per order, so the reported value is exact.
 
 ``is_one_over_t_tough`` reads a cut plan cached per (n, t): the cuts
 that can violate t |S| >= c(G - S), their sets V - S, and the count
@@ -108,19 +109,31 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks and sizes of every cut S with 1 <= |S| <= n - 2, in (size,
-    lexicographic) order.  Among sets of one size, lexicographic order
-    of the sorted vertex tuples is descending order of the bit-reversed
-    mask, so one sort on (size, complement of the reversed mask) gives
-    it."""
+def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks, sets V - S and sizes of every cut S with
+    1 <= |S| <= n - 2, in (size, lexicographic) order.  Among sets of one
+    size, lexicographic order of the sorted vertex tuples is descending
+    order of the bit-reversed mask, so one sort on (size, complement of
+    the reversed mask) gives it."""
     masks = _subsets(n)[0]
     sizes = np.bitwise_count(masks)
+    full = (1 << n) - 1
     rev = _unions([1 << (n - 1 - v) for v in range(n)])
-    order = np.argsort((sizes.astype(np.int64) << n) | (((1 << n) - 1) ^ rev))
+    order = np.argsort((sizes.astype(np.int64) << n) | (full ^ rev))
     # the empty set sorts first, sizes n - 1 and n (n + 1 sets) last
     order = order[1 : -(n + 1)]
-    return masks[order], sizes[order]
+    cuts = masks[order]
+    return cuts, full ^ cuts, sizes[order]
+
+
+@lru_cache(maxsize=8)
+def _ratio_scale(n: int) -> np.ndarray:
+    """Integer keys for the ratios s / c of order ``n``: s / c is
+    s * (L // c) / L with L = lcm(1..n), so ``scale[c]`` = L // c orders
+    them exactly.  Cuts that leave one component (c < 2) get n * L,
+    above every ratio's key."""
+    big = lcm(*range(1, n + 1))
+    return np.array([n * big] * 2 + [big // c for c in range(2, n + 1)], dtype=np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -128,14 +141,14 @@ def _cut_plan(n: int, tn: int, td: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     """The cuts S of order ``n`` that can violate t |S| >= c(G - S) for
     t = tn / td, in (size, lexicographic) order, with their sets V - S
     and the count c(G - S) must exceed for S to violate it."""
-    cuts, sizes = _cut_order(n)
+    cuts, rests, sizes = _cut_order(n)
     # c(G - S) <= n - |S|, so only sizes with t |S| < n - |S| can violate
     top = min((td * n - 1) // (tn + td), n - 2)
     # the cut order holds the C(n, s) cuts of each size s in turn
-    cuts = cuts[: sum(comb(n, s) for s in range(1, top + 1))]
+    k = sum(comb(n, s) for s in range(1, top + 1))
     # t s < c exactly when c > floor(t s); a violation also needs c >= 2
     floor = np.array([max(1, tn * s // td) for s in range(top + 1)], dtype=np.uint8)
-    return cuts, ((1 << n) - 1) ^ cuts, floor[sizes[: cuts.size]]
+    return cuts[:k], rests[:k], floor[sizes[:k]]
 
 
 def _component_counts(g: Graph, rests: np.ndarray) -> np.ndarray:
@@ -176,13 +189,9 @@ def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessRes
     full = (1 << n) - 1
     if all(row == full ^ (1 << v) for v, row in enumerate(g.adj)):
         return ToughnessResult(infinite=True)
-    cuts, sizes = _cut_order(n)
-    counts = _component_counts(g, full ^ cuts)
-    # s / c = s * (L // c) / L with L = lcm(1..n), an exact integer key;
-    # cuts that leave one component get n * L, above every ratio's key
-    big = lcm(*range(1, n + 1))
-    scale = np.array([n * big] * 2 + [big // c for c in range(2, n + 1)], dtype=np.int64)
-    i = int(np.argmin(sizes * scale[counts]))
+    cuts, rests, sizes = _cut_order(n)
+    counts = _component_counts(g, rests)
+    i = int(np.argmin(sizes * _ratio_scale(n)[counts]))
     return ToughnessResult(False, int(sizes[i]), int(counts[i]), _witness(cuts[i]))
 
 

@@ -17,7 +17,9 @@ S isolated, so the component table reads c(G - S) + |S| at the masked
 graph.  The largest reading over cuts of k vertices follows from the one
 over k - 1 by a recursion over the whole table,
 T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], updated in place from
-the top block down: one gather per vertex and cut size, not one per cut.
+the top block down.  avoid(v) keeps vertex 0's pairs below (0, v), so a
+gather moves whole runs of 2^(v-1) masks, and vertex 0 needs no gather:
+about two gathered entries per mask and cut size, not one per cut.
 The levels of every mask of order min(n, 7) sit in one table per
 process, built for the cut sizes the first t needs; a later t reuses it
 unless it needs larger cuts, so a sweep over t = 1..5 that starts at
@@ -25,13 +27,16 @@ t = 1 builds it once.  At order 8 the table is built with one vertex of
 every cut deleted beforehand, read at the order-7 mask of G - v for each
 vertex v, and the largest of the eight readings kept.  Up to order 7 a
 scan chunk is a contiguous mask range, so it reads both tables as
-slices.  The sharpness examples are not searched for: the masks of all
-their labelings are enumerated once per (n, t) and located in the
-chunk's sorted connected masks.  Degrees are popcounts of the masks,
-counted only for the graphs the edge count leaves undecided.  The
-spectral side only solves eigenproblems for graphs whose cheap
-degree/edge bounds cannot already separate them from the threshold, in
-one batched call on adjacency matrices read from the mask bits.
+slices and lists only the masks of the graphs that fail toughness.  The
+sharpness examples are not searched for: the masks of all their
+labelings are enumerated once per (n, t) and located among those
+masks; a labeling missing there came out tough.  Edge counts are
+popcounts of those masks (and, for curiosities, of the tough ones), and
+degrees are counted only for the graphs the edge count leaves
+undecided.  The spectral side only solves eigenproblems for graphs
+whose cheap degree/edge bounds cannot already separate them from the
+threshold, in one batched call on adjacency matrices read from the mask
+bits.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -321,8 +326,9 @@ def write_report(summary: VerificationSummary, stream) -> None:
 # pass (the component tables, the scan's default chunk, enumeration)
 # takes _TABLE_BLOCK masks at a time, which keeps each int64 temporary
 # at 512 KB.  The level build gathers _LEVEL_BLOCK masks at a time
-# through one int64 index array per vertex, 0.9 MB for all seven at
-# order 7; at 2^16 masks they raise an order-7 sweep's peak RSS by 4 MB.
+# through one int64 index array per vertex v >= 1, of one entry per run
+# of 2^(v-1) masks: about two blocks of int64 (256 KB) in all.  At 2^16
+# masks an order-7 sweep over t = 1..5 peaks 0.9 MB higher (VmHWM).
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
 _LEVEL_BLOCK = 1 << 14
@@ -460,17 +466,30 @@ def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
     T_k overwrites T_{k-1} in one buffer, block by block from the top:
     mask & avoid(v) is a submask, never above mask, so every block reads
     only itself, gathered before it is written, and blocks still
-    holding T_{k-1}."""
+    holding T_{k-1}.
+
+    The gathers move runs of masks, not single masks.  Bits 0..r-2 are
+    vertex 0's pairs (0, 1)..(0, r-1).  avoid(0) clears all of them, so
+    each row of 2^(r-1) masks reads the row's first entry.  For v >= 1,
+    avoid(v) keeps bits 0..v-2 and clears bit v-1, so each aligned run of
+    2^(v-1) masks reads one run of 2^(v-1) consecutive masks: one
+    gather of rows of that width."""
     total = 1 << (r * (r - 1) // 2)
     block = min(total, _LEVEL_BLOCK)
-    avoid = [_pairs_avoiding(r, v) for v in range(r)]
-    # lo is a multiple of the block, so (lo + i) & a = (lo & a) + (i & a):
-    # a block reads the table from lo & a on, at one index array per vertex
-    low = [np.arange(block, dtype=np.int64) & a for a in avoid]
     reading = _comps_table(r).copy()
     level = np.zeros(total, dtype=np.uint8)
     best = np.empty(block, dtype=np.uint8)
     gathered = np.empty(block, dtype=np.uint8)
+    row = 1 << (r - 1)
+    # lo is a multiple of the block, so (lo + i) & a = (lo & a) + (i & a):
+    # for v >= 1 a block reads the table, as runs of 2^(v-1) masks, from
+    # run (lo & a) >> (v - 1) on, at one index array per vertex
+    runs = []
+    for v in range(1, r):
+        a, width = _pairs_avoiding(r, v), v - 1
+        idx = np.arange(block >> width, dtype=np.int64) & (a >> width)
+        runs.append((a, width, reading.reshape(-1, 1 << width), idx,
+                     gathered.reshape(-1, 1 << width)))
     values = np.arange(256)
     for size in range(1, smax + 1):
         isolated = size - deleted
@@ -479,9 +498,9 @@ def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
         for lo in reversed(range(0, total, block)):
             hi = lo + block
             if isolated:
-                np.take(reading[lo & avoid[0]:], low[0], out=best)
-                for a, idx in zip(avoid[1:], low[1:]):
-                    np.take(reading[lo & a:], idx, out=gathered)
+                best.reshape(-1, row)[:] = reading[lo:hi:row, None]
+                for a, width, table, idx, out in runs:
+                    np.take(table[(lo & a) >> width:], idx, axis=0, out=out)
                     np.maximum(best, gathered, out=best)
                 reading[lo:hi] = best
             np.maximum(level[lo:hi], np.take(lookup, reading[lo:hi]), out=level[lo:hi])
@@ -540,69 +559,81 @@ def _scan_chunk(args) -> dict:
     (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
     smax = (n - 1) // (t + 1)
 
+    # the sharpness-example labelings are enumerated, not searched for
+    named = _extremal_masks(n, t)
+    named = named[(named >= lo) & (named < hi)]
+
     # connected graphs are those with one component; nothing is decoded.
     # Exact toughness side: one toughness level per graph answers every
     # t, read from the per-process level table.  Up to the table order
-    # the chunk is a slice of both tables.
+    # the chunk is a slice of both tables, and only the masks of the
+    # graphs that fail toughness are listed (those of the tough ones
+    # only for curiosities).
     if n <= _TABLE_ORDER:
         conn = _comps_table(n)[lo:hi] == 1
-        cmasks = np.flatnonzero(conn) + lo
-        violated = _level_table(n, smax)[lo:hi][conn] >= t
+        ngraphs = int(np.count_nonzero(conn))
+        level = _level_table(n, smax)[lo:hi]
+        violated = np.flatnonzero(conn & (level >= t)) + lo
+        scanned = conn[named - lo].all()
+
+        def tough_masks() -> np.ndarray:
+            return np.flatnonzero(conn & (level < t)) + lo
     else:
         masks = np.arange(lo, hi, dtype=np.int64)
         cmasks = masks[_counts(n, masks) == 1]
-        violated = _levels(n, cmasks, smax) >= t
-    ngraphs = int(cmasks.size)
+        ngraphs = int(cmasks.size)
+        flags = _levels(n, cmasks, smax) >= t
+        violated = cmasks[flags]
+        scanned = np.isin(named, cmasks).all()
+
+        def tough_masks() -> np.ndarray:
+            return cmasks[~flags]
+    assert scanned, "a sharpness labeling was not scanned"
+
+    # every labeling is connected, so one missing from the violated masks
+    # came out tough
+    sharp = np.searchsorted(violated, named)
+    exceptional = sharp < violated.size
+    exceptional[exceptional] = violated[sharp[exceptional]] == named[exceptional]
 
     everything = (1 << (n * (n - 1) // 2)) - 1
-    edges = np.bitwise_count(cmasks)
 
-    def degrees(idx) -> np.ndarray:
-        """(n, len(idx)) vertex degrees of the graphs at ``idx``."""
-        sub = cmasks[idx]
+    def degrees(masks) -> np.ndarray:
+        """(n, len(masks)) vertex degrees of the graphs with ``masks``."""
         return np.vstack([
-            np.bitwise_count(sub & (everything ^ _pairs_avoiding(n, v))) for v in range(n)
+            np.bitwise_count(masks & (everything ^ _pairs_avoiding(n, v))) for v in range(n)
         ])
-
-    # the sharpness-example labelings are enumerated, not searched for;
-    # all of them are connected, so each one in the range is in cmasks
-    named = _extremal_masks(n, t)
-    named = named[(named >= lo) & (named < hi)]
-    sharp = np.searchsorted(cmasks, named)
-    assert np.array_equal(cmasks[sharp], named), "a sharpness labeling was not scanned"
 
     failures: list[dict] = []
     incidents: list[dict] = []
-    exceptional = np.zeros(ngraphs, dtype=bool)
     exceptional_g6: list[str] = []
     eigensolves = 0
 
     # a Graph is built only for the graphs that get a report record or an
     # exceptional listing; eigenvalues come from the mask bits directly
-    def graph6(i) -> str:
-        return to_graph6(graph_from_mask(n, int(cmasks[i])))
+    def graph6(mask) -> str:
+        return to_graph6(graph_from_mask(n, int(mask)))
 
-    def radii(idx) -> list[float]:
+    def radii(masks) -> list[float]:
         nonlocal eigensolves
-        if not len(idx):
+        if not masks.size:
             return []
-        eigensolves += len(idx)
-        return spectral_radii(_adjacency_stack(n, cmasks[idx])).tolist()
+        eigensolves += masks.size
+        return spectral_radii(_adjacency_stack(n, masks)).tolist()
 
-    def undecided(among, low: float, high: float = math.inf) -> np.ndarray:
-        """Indices of the graphs flagged in ``among`` whose cheap bounds
-        leave their largest eigenvalue possibly in [low, high]: the upper
-        bounds sqrt(2m - n + 1) and max degree both reach ``low``, and
-        the lower bounds 2m/n and sqrt(max degree) both stay within
-        ``high``.  Each bound is tabulated over its integer argument, and
-        degrees are counted only for graphs the edge count m leaves in."""
+    def undecided(masks, low: float, high: float = math.inf) -> np.ndarray:
+        """Those of ``masks`` whose cheap bounds leave the largest
+        eigenvalue possibly in [low, high]: the upper bounds
+        sqrt(2m - n + 1) and max degree both reach ``low``, and the lower
+        bounds 2m/n and sqrt(max degree) both stay within ``high``.  Each
+        bound is tabulated over its integer argument, and degrees are
+        counted only for graphs the edge count m leaves in."""
         m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
         by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
-        idx = np.nonzero(among)[0]
-        idx = idx[by_edges[edges[idx]]]
+        masks = masks[by_edges[np.bitwise_count(masks)]]
         d = np.arange(n, dtype=np.float64)
         by_degree = (d >= low) & (np.sqrt(d) <= high)
-        return idx[by_degree[degrees(idx).max(axis=0)]]
+        return masks[by_degree[degrees(masks).max(axis=0)]]
 
     def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
@@ -616,34 +647,33 @@ def _scan_chunk(args) -> dict:
             rec["lambda1"] = _round12(lam)
         return rec
 
-    for i in sharp:
-        if violated[i]:
-            exceptional[i] = True
-            exceptional_g6.append(graph6(i))
+    for mask, found in zip(named, exceptional):
+        if found:
+            exceptional_g6.append(graph6(mask))
         else:
             failures.append(
-                {**ctx(graph6(i)), "kind": "extremal-tough",
+                {**ctx(graph6(mask)), "kind": "extremal-tough",
                  "detail": "sharpness example came out 1/t-tough"}
             )
 
     # spectral side for graphs that fail toughness: the cheap upper
     # bounds rule most of them out without an eigensolve
-    suspects = violated & ~exceptional
+    suspects = np.delete(violated, sharp[exceptional])
     needs = undecided(suspects, eta - eps_strict)
-    bound_skips = int(np.count_nonzero(suspects)) - needs.size
-    for i, lam in zip(needs, radii(needs)):
+    bound_skips = suspects.size - needs.size
+    for mask, lam in zip(needs, radii(needs)):
         if lam > eta + eps_eq:
             failures.append(
-                {**ctx(graph6(i), lam), "kind": "spectral-bound",
+                {**ctx(graph6(mask), lam), "kind": "spectral-bound",
                  "detail": "non-tough non-extremal graph at or above the threshold"}
             )
         elif lam >= eta - eps_strict:
             incidents.append(
-                {**ctx(graph6(i), lam), "kind": "tolerance-band",
+                {**ctx(graph6(mask), lam), "kind": "tolerance-band",
                  "detail": "eigenvalue within the ambiguity band of the threshold"}
             )
 
-    for g6, lam in zip(exceptional_g6, radii(np.nonzero(exceptional)[0])):
+    for g6, lam in zip(exceptional_g6, radii(named[exceptional])):
         if abs(lam - eta) > eps_eq:
             failures.append(
                 {**ctx(g6, lam), "kind": "sharpness",
@@ -651,22 +681,22 @@ def _scan_chunk(args) -> dict:
             )
 
     if log_curiosities:
-        near = undecided(~violated, eta - eps_eq, eta + eps_eq)
-        for i, lam in zip(near, radii(near)):
+        near = undecided(tough_masks(), eta - eps_eq, eta + eps_eq)
+        for mask, lam in zip(near, radii(near)):
             if abs(lam - eta) <= eps_eq:
                 incidents.append(
-                    {**ctx(graph6(i), lam), "kind": "equality-curiosity",
+                    {**ctx(graph6(mask), lam), "kind": "equality-curiosity",
                      "detail": "tough graph with eigenvalue at the threshold"}
                 )
 
-    not_tough = int(np.count_nonzero(violated))
+    not_tough = int(violated.size)
     return {
         "lo": lo,
         "hi": hi,
         "connected": ngraphs,
         "tough": ngraphs - not_tough,
         "not_tough": not_tough,
-        "exceptional_masks": [int(x) for x in cmasks[exceptional]],
+        "exceptional_masks": named[exceptional].tolist(),
         "exceptional_g6": exceptional_g6,
         "eigensolves": eigensolves,
         "bound_skips": bound_skips,

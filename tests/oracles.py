@@ -12,6 +12,9 @@ its rows, the graph6 codec works on a flat list of bits, and
 ``cut_levels`` is the exception: it reads the package's component
 table (checked against ``brute_components`` on its own), but scans one
 cut at a time where the package recurses on cut size.
+``recursion_levels`` reads that table too and runs the package's
+recursion, but over the whole table one mask at a time, where the
+package gathers runs of masks block by block.
 """
 
 from __future__ import annotations
@@ -130,6 +133,32 @@ def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
         lookup = np.maximum((reading - (size - dropped) - 1) // size, 0).astype(np.uint8)
         np.maximum(level, lookup[best[size]], out=level)
     return level
+
+
+def recursion_levels(r: int, deleted: int):
+    """Yield the level tables (uint8, every mask of order ``r``) that
+    ``_build_level_table(r, cap, deleted)`` builds, for cap = 0, 1, ...,
+    r - 1 in turn, by the same recursion on cut size done the plain way:
+    T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], one gather per
+    vertex over the whole table into a fresh array, no blocks and no
+    runs."""
+    masks = np.arange(1 << (r * (r - 1) // 2), dtype=np.int64)
+    avoid = [
+        sum(1 << e for e, (a, b) in enumerate(_edge_order(r)) if v not in (a, b))
+        for v in range(r)
+    ]
+    reading = _comps_table(r).copy()
+    level = np.zeros(masks.size, dtype=np.uint8)
+    yield level
+    for size in range(1, r):
+        isolated = size - deleted
+        if isolated:
+            gathered = [reading[masks & a] for a in avoid]
+            reading = np.maximum.reduce(gathered)
+        # a reading of c + isolated is level floor((c - 1) / size)
+        lookup = np.maximum((np.arange(256) - isolated - 1) // size, 0).astype(np.uint8)
+        level = np.maximum(level, lookup[reading])
+        yield level
 
 
 def eig_radius(g: Graph) -> float:

@@ -18,7 +18,7 @@ from toughcert import (
     parse_graph6,
     toughness_exact,
 )
-from toughcert.toughness import _cut_plan
+from toughcert.toughness import _cut_order, _cut_plan, _ratio_scale
 from toughcert.verify import _level_table, enumerate_connected, mask_of_graph
 
 from oracles import brute_components, brute_toughness, random_connected_graph
@@ -106,6 +106,20 @@ def test_matches_unpruned_oracle_random_larger_orders():
             assert mine.value() == brute_toughness(g), n
             assert brute_components(g, set(mine.witness)) == mine.denominator
             assert len(mine.witness) == mine.numerator
+
+
+def test_exact_reads_its_cached_cut_arrays_unchanged():
+    # toughness_exact reads the cuts' sets V - S and the ratio keys
+    # cached per order; a call leaves both as built
+    rng = random.Random(101)
+    for n in (5, 9, 12):
+        cuts, rests, _ = _cut_order(n)
+        scale = _ratio_scale(n).copy()
+        for _ in range(3):
+            g = random_connected_graph(rng, n, rng.uniform(0.3, 0.8))
+            assert toughness_exact(g).value() == brute_toughness(g), n
+        assert np.array_equal(rests, ((1 << n) - 1) ^ cuts)
+        assert np.array_equal(_ratio_scale(n), scale)
 
 
 def test_witness_is_first_in_size_then_lexicographic_order():

@@ -25,6 +25,7 @@ from toughcert import (
     parse_graph6,
     spectral_radius,
     threshold,
+    to_graph6,
     toughness_exact,
 )
 from toughcert.graphs import _extremal_core
@@ -34,6 +35,7 @@ from toughcert.verify import (
     VERDICT_TOUGH,
     _TABLE_BLOCK,
     _adjacency_stack,
+    _build_level_table,
     _comps_table,
     _counts,
     _delete,
@@ -64,6 +66,7 @@ from oracles import (
     eig_radius,
     labelings_masks,
     random_connected_graph,
+    recursion_levels,
 )
 
 # sha256 of the verify_theorem(7, t) report bytes, t = 1..5 (the values
@@ -193,6 +196,18 @@ def test_level_table_matches_cut_oracle(monkeypatch):
     sample = np.random.default_rng(83).choice(masks[_counts(7, masks) == 1], 20_000)
     monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
     assert (_level_table(7, 3)[sample] == cut_levels(7, sample, 3)).all()
+
+
+def test_level_table_matches_recursion_oracle():
+    # the build gathers runs of 2^(v-1) masks a block at a time; the
+    # oracle gathers mask by mask over the whole table, so a wrong run
+    # width or offset shows as a differing byte
+    for r in range(1, 8):
+        for deleted in (0, 1):
+            for cap, ref in enumerate(recursion_levels(r, deleted)):
+                got = _build_level_table(r, cap, deleted)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, ref), (r, cap, deleted)
 
 
 def test_order_8_levels_match_cut_oracle(monkeypatch):
@@ -474,6 +489,60 @@ def test_order_7_scan_reads_tables_as_slices(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
     assert verify_theorem(5, 1, log_curiosities=True, chunk_size=100).ok
     assert sum(1 for _ in enumerate_connected(6)) == 26704
+
+
+def _sharpness_chunk(n: int, t: int):
+    """One sharpness labeling of order ``n`` and the scan arguments of
+    a 2^12-mask chunk holding it."""
+    label = int(_extremal_masks(n, t)[5])
+    lo = label & -(1 << 12)
+    return label, (n, t, lo, lo + (1 << 12), threshold(t, n).value, 1e-9, 1e-9, False)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n):
+    # a labeling missing from the violated masks came out tough: with
+    # its level patched below t it is one extremal-tough failure and one
+    # fewer exceptional graph.  Order 8 reads the level of G - v for
+    # every v, so all eight readings are patched.
+    label, args = _sharpness_chunk(n, 2)
+    before = _scan_chunk(args)
+    assert label in before["exceptional_masks"] and not before["failures"]
+    r = min(n, 7)
+    table = _level_table(r, 2, n - r).copy()
+    if n == 7:
+        table[label] = 0
+    else:
+        for v in range(n):
+            table[_delete(n, np.array([label]), v)] = 0
+    monkeypatch.setattr(toughcert.verify, "_level_table", lambda *key: table)
+    after = _scan_chunk(args)
+    assert [(f["kind"], f["graph6"]) for f in after["failures"]] == [
+        ("extremal-tough", to_graph6(graph_from_mask(n, label)))
+    ]
+    assert after["exceptional_masks"] == [m for m in before["exceptional_masks"] if m != label]
+    assert after["connected"] == before["connected"]
+    assert after["not_tough"] < before["not_tough"]
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, n):
+    # every labeling is connected, so a tough reading can only mean the
+    # example came out tough if the labeling was scanned at all; order 8
+    # reads connectivity through the contraction of vertex 0
+    label, args = _sharpness_chunk(n, 2)
+    real = _comps_table
+    table = real(7).copy()
+    if n == 7:
+        table[label] = 2
+    else:
+        near = label & ((1 << 7) - 1)
+        table[(label >> 7) | int(_star(8)[near])] = 2
+    monkeypatch.setattr(toughcert.verify, "_comps_table", lambda r: table if r == 7 else real(r))
+    # a level table built from the patched counts goes with the test
+    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    with pytest.raises(AssertionError, match="sharpness labeling was not scanned"):
+        _scan_chunk(args)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
