@@ -278,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-max", type=int, default=None,
                    help="also run every order up to this one")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="scan processes, capped at the chunks and usable cores; pays off at order 8")
     p.add_argument("--eps-eq", type=float, default=1e-9)
     p.add_argument("--eps-strict", type=float, default=1e-9)
     p.add_argument("--curiosities", action="store_true",

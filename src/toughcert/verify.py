@@ -25,11 +25,13 @@ process, built for the cut sizes the first t needs; a later t reuses it
 unless it needs larger cuts, so a sweep over t = 1..5 that starts at
 t = 1 builds it once.  At order 8 the table is built with one vertex of
 every cut deleted beforehand, read at the order-7 mask of G - v for each
-vertex v, and the largest of the eight readings kept.  Up to order 7 a
-scan chunk is a contiguous mask range, so it reads both tables as
-slices and lists only the masks of the graphs that fail toughness.  The
-sharpness examples are not searched for: the masks of all their
-labelings are enumerated once per (n, t) and located among those
+vertex v, and the largest of the eight readings kept.  A scan chunk is
+a contiguous mask range, whose connectivity and levels one reader gives
+as table slices up to order 7, and at order 8 by the contraction and
+the G - v readings of the connected masks.  It lists only the masks of
+the graphs that fail toughness.  The sharpness examples are not
+searched for: the masks of all their labelings are built once per
+(n, t) from the pairs each vertex avoids and located among those
 masks; a labeling missing there came out tough.  Edge counts are
 popcounts of those masks (and, for curiosities, of the tough ones), and
 degrees are counted only for the graphs the edge count leaves
@@ -169,12 +171,7 @@ def enumerate_connected(n: int):
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, total)
-        if n <= _TABLE_ORDER:
-            masks = np.flatnonzero(_comps_table(n)[lo:hi] == 1) + lo
-        else:
-            masks = np.arange(lo, hi, dtype=np.int64)
-            masks = masks[_counts(n, masks) == 1]
-        for mask in masks.tolist():
+        for mask in (np.flatnonzero(_connected(n, lo, hi)) + lo).tolist():
             yield graph_from_mask(n, mask)
 
 
@@ -358,16 +355,7 @@ def _contract(r: int, masks: np.ndarray) -> np.ndarray:
     count, and an isolated vertex 0 adds one, so
     c_r(mask) = c_{r-1}(sub | _star(r)[N]) + (N == 0)."""
     near = masks & ((1 << (r - 1)) - 1)
-    return _counts(r - 1, (masks >> (r - 1)) | _star(r)[near]) + (near == 0)
-
-
-def _counts(r: int, masks: np.ndarray) -> np.ndarray:
-    """Component counts (uint8) of the order-``r`` graphs with int64
-    edge ``masks``: a table read up to ``_TABLE_ORDER``, the contraction
-    identity above it."""
-    if r <= _TABLE_ORDER:
-        return _comps_table(r)[masks]
-    return _contract(r, masks)
+    return _comps_table(r - 1)[(masks >> (r - 1)) | _star(r)[near]] + (near == 0)
 
 
 @lru_cache(maxsize=None)
@@ -521,6 +509,29 @@ def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
     return level
 
 
+def _connected(n: int, lo: int, hi: int) -> np.ndarray:
+    """Whether each order-``n`` graph with edge mask in [lo, hi) is
+    connected: a slice of the component table up to the table order,
+    the contraction of vertex 0 above it."""
+    if n <= _TABLE_ORDER:
+        return _comps_table(n)[lo:hi] == 1
+    return _contract(n, np.arange(lo, hi, dtype=np.int64)) == 1
+
+
+def _scan_tables(n: int, lo: int, hi: int, smax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conn, level) over the order-``n`` edge masks [lo, hi): whether
+    each graph is connected, and its level for cuts of up to ``smax``
+    vertices (0 where disconnected above the table order).  An empty
+    range builds exactly the tables that a range reads."""
+    conn = _connected(n, lo, hi)
+    if n <= _TABLE_ORDER:
+        return conn, _level_table(n, smax)[lo:hi]
+    where = np.flatnonzero(conn)
+    level = np.zeros(conn.size, dtype=np.uint8)
+    level[where] = _levels(n, where + lo, smax)
+    return conn, level
+
+
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
     """(k, n, n) float64 adjacency matrices of the order-``n`` graphs with
     int64 edge ``masks``, read straight from the mask bits (lex pair
@@ -539,15 +550,17 @@ def _extremal_masks(n: int, t: int) -> np.ndarray:
     K1 v (K_{n-t-1} u tK1), one per hub and set of t leaves.  At
     n = t + 2 the lone clique vertex is a leaf too, so every leaf set of
     a hub gives the same star and the order has n labelings.  A pair is
-    an edge iff it meets the hub or misses every leaf."""
-    found = set()
-    for hub in range(n):
-        for leaves in combinations([v for v in range(n) if v != hub], t):
-            found.add(sum(
-                1 << e for e, pair in enumerate(_edge_order(n))
-                if hub in pair or not set(pair) & set(leaves)
-            ))
-    return np.array(sorted(found), dtype=np.int64)
+    an edge iff it meets the hub or misses every leaf, so a labeling's
+    mask is (everything ^ avoid(hub)) | the AND of avoid(leaf) over its
+    leaves."""
+    avoid = np.array([_pairs_avoiding(n, v) for v in range(n)], dtype=np.int64)
+    leaves = np.array(list(combinations(range(n), t)), dtype=np.int64)
+    missed = np.bitwise_and.reduce(avoid[leaves], axis=1)
+    everything = (1 << (n * (n - 1) // 2)) - 1
+    found = np.concatenate([
+        (everything ^ avoid[hub]) | missed[(leaves != hub).all(axis=1)] for hub in range(n)
+    ])
+    return np.array(sorted(set(found.tolist())), dtype=np.int64)
 
 
 def _scan_chunk(args) -> dict:
@@ -565,30 +578,13 @@ def _scan_chunk(args) -> dict:
 
     # connected graphs are those with one component; nothing is decoded.
     # Exact toughness side: one toughness level per graph answers every
-    # t, read from the per-process level table.  Up to the table order
-    # the chunk is a slice of both tables, and only the masks of the
+    # t, read from the per-process level table.  Only the masks of the
     # graphs that fail toughness are listed (those of the tough ones
     # only for curiosities).
-    if n <= _TABLE_ORDER:
-        conn = _comps_table(n)[lo:hi] == 1
-        ngraphs = int(np.count_nonzero(conn))
-        level = _level_table(n, smax)[lo:hi]
-        violated = np.flatnonzero(conn & (level >= t)) + lo
-        scanned = conn[named - lo].all()
-
-        def tough_masks() -> np.ndarray:
-            return np.flatnonzero(conn & (level < t)) + lo
-    else:
-        masks = np.arange(lo, hi, dtype=np.int64)
-        cmasks = masks[_counts(n, masks) == 1]
-        ngraphs = int(cmasks.size)
-        flags = _levels(n, cmasks, smax) >= t
-        violated = cmasks[flags]
-        scanned = np.isin(named, cmasks).all()
-
-        def tough_masks() -> np.ndarray:
-            return cmasks[~flags]
-    assert scanned, "a sharpness labeling was not scanned"
+    conn, level = _scan_tables(n, lo, hi, smax)
+    ngraphs = int(np.count_nonzero(conn))
+    violated = np.flatnonzero(conn & (level >= t)) + lo
+    assert conn[named - lo].all(), "a sharpness labeling was not scanned"
 
     # every labeling is connected, so one missing from the violated masks
     # came out tough
@@ -681,7 +677,7 @@ def _scan_chunk(args) -> dict:
             )
 
     if log_curiosities:
-        near = undecided(tough_masks(), eta - eps_eq, eta + eps_eq)
+        near = undecided(np.flatnonzero(conn & (level < t)) + lo, eta - eps_eq, eta + eps_eq)
         for mask, lam in zip(near, radii(near)):
             if abs(lam - eta) <= eps_eq:
                 incidents.append(
@@ -765,9 +761,7 @@ def verify_theorem(
     processes = min(workers, len(argv), _usable_cores())
     if processes > 1:
         # warm the tables before forking so children inherit them
-        r = min(n, _TABLE_ORDER)
-        _comps_table(r)
-        _level_table(r, (n - 1) // (t + 1), n - r)
+        _scan_tables(n, 0, 0, (n - 1) // (t + 1))
         with get_context("fork").Pool(processes) as pool:
             results = pool.map(_scan_chunk, argv)
     else:

@@ -7,7 +7,8 @@ come from numpy's LAPACK bindings on a matrix built entry by entry, and
 in exact rational arithmetic.  Cut enumeration has no pruning,
 isomorphism is brute permutation search, the sharpness example is
 recognized by splitting G - hub into components where the package reads
-its rows, the graph6 codec works on a flat list of bits, and
+its rows, its labelings are listed pair by pair where the package ANDs
+whole masks, the graph6 codec works on a flat list of bits, and
 ``cubic_sign`` evaluates a cubic in Fractions.
 ``cut_levels`` is the exception: it reads the package's component
 table (checked against ``brute_components`` on its own), but scans one
@@ -244,6 +245,20 @@ def labelings_masks(g: Graph) -> set[int]:
         edges = [(perm[u], perm[v]) for (u, v) in g.edges()]
         out.add(mask_of_graph(from_edges(g.n, edges)))
     return out
+
+
+def enumerated_extremal_masks(n: int, t: int) -> list[int]:
+    """Sorted edge masks of every labeling of K1 v (K_{n-t-1} u tK1),
+    one pair at a time: for each hub and set of t leaves, a pair is an
+    edge iff it meets the hub or misses every leaf."""
+    found = set()
+    for hub in range(n):
+        for leaves in combinations([v for v in range(n) if v != hub], t):
+            found.add(sum(
+                1 << e for e, pair in enumerate(_edge_order(n))
+                if hub in pair or not set(pair) & set(leaves)
+            ))
+    return sorted(found)
 
 
 def graph6_encode(g: Graph) -> str:

@@ -4,6 +4,7 @@ import math
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -37,7 +38,7 @@ from toughcert.verify import (
     _adjacency_stack,
     _build_level_table,
     _comps_table,
-    _counts,
+    _contract,
     _delete,
     _delete_vertex,
     _extremal_masks,
@@ -46,6 +47,7 @@ from toughcert.verify import (
     _partitions_desc,
     _runs_avoiding,
     _scan_chunk,
+    _scan_tables,
     _star,
     enumerate_connected,
     graph_from_mask,
@@ -64,6 +66,7 @@ from oracles import (
     connected_count,
     cut_levels,
     eig_radius,
+    enumerated_extremal_masks,
     labelings_masks,
     random_connected_graph,
     recursion_levels,
@@ -132,20 +135,12 @@ def test_comps_table_matches_contraction_of_every_mask():
         assert np.array_equal(_comps_table(r), ref), r
 
 
-def test_counts_match_component_oracle_on_every_small_mask():
-    for r in range(1, 6):
-        masks = np.arange(1 << (r * (r - 1) // 2), dtype=np.int64)
-        got = _counts(r, masks)
-        for mask in masks.tolist():
-            assert got[mask] == brute_components(graph_from_mask(r, mask), set()), (r, mask)
-
-
 def test_counts_contract_order_8_to_the_order_7_table():
     # order 8 has no table: vertex 0 is contracted into its lowest
     # neighbour and the order-7 table read
     rng = random.Random(71)
     sample = [0, (1 << 28) - 1] + [rng.getrandbits(28) for _ in range(20000)]
-    got = _counts(8, np.array(sample, dtype=np.int64))
+    got = _contract(8, np.array(sample, dtype=np.int64))
     assert got.dtype == np.uint8
     for mask, count in zip(sample, got.tolist()):
         g = graph_from_mask(8, mask)
@@ -185,15 +180,13 @@ def test_level_table_matches_cut_oracle(monkeypatch):
     # of order 7, whose 32 blocks check the top-down in-place update; the
     # check against the unpruned toughness oracle is in test_toughness.py
     for n in range(1, 7):
-        masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
-        cmasks = masks[_counts(n, masks) == 1]
+        cmasks = np.flatnonzero(_comps_table(n) == 1)
         for cap in range(n):
             monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
             table = _level_table(n, cap)
-            assert table.dtype == np.uint8 and table.size == masks.size
+            assert table.dtype == np.uint8 and table.size == 1 << (n * (n - 1) // 2)
             assert (table[cmasks] == cut_levels(n, cmasks, cap)).all(), (n, cap)
-    masks = np.arange(1 << 21, dtype=np.int64)
-    sample = np.random.default_rng(83).choice(masks[_counts(7, masks) == 1], 20_000)
+    sample = np.random.default_rng(83).choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
     monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
     assert (_level_table(7, 3)[sample] == cut_levels(7, sample, 3)).all()
 
@@ -219,6 +212,67 @@ def test_order_8_levels_match_cut_oracle(monkeypatch):
         level = _levels(8, sample, cap)
         assert level.dtype == np.uint8
         assert (level == cut_levels(8, sample, cap)).all(), cap
+
+
+def test_scan_tables_match_the_per_mask_readers():
+    # order 8: connectivity by the contraction and levels by the G - v
+    # readings, mask by mask, on a mostly disconnected range from mask 0
+    # and an unaligned one inside the last 2^18-mask chunk; disconnected
+    # masks read level 0.  Up to order 7: the plain table slices.
+    for lo in (0, (1023 << 18) + 5000):
+        hi = lo + (1 << 12)
+        masks = np.arange(lo, hi, dtype=np.int64)
+        ref = _contract(8, masks) == 1
+        if lo == 0:
+            assert 0 < np.count_nonzero(ref) < ref.size // 2
+        for smax in (1, 2, 3):
+            conn, level = _scan_tables(8, lo, hi, smax)
+            assert np.array_equal(conn, ref), (lo, smax)
+            assert level.dtype == np.uint8 and level.size == masks.size
+            assert np.array_equal(level[conn], _levels(8, masks[conn], smax)), (lo, smax)
+            assert not level[~conn].any(), (lo, smax)
+    for n in (5, 6, 7):
+        total = 1 << (n * (n - 1) // 2)
+        for lo, hi in ((0, total), (total // 3, total // 3 + 1000)):
+            for smax in range(1, (n - 1) // 2 + 1):
+                conn, level = _scan_tables(n, lo, hi, smax)
+                assert np.array_equal(conn, _comps_table(n)[lo:hi] == 1), (n, lo)
+                assert np.array_equal(level, _level_table(n, smax)[lo:hi]), (n, lo, smax)
+
+
+def _record_table_builds(monkeypatch) -> list:
+    """Empty the component and level table caches for the test, and
+    return the list that every later table build is appended to."""
+    built = []
+    build_comps = toughcert.verify._comps_table.__wrapped__
+    build_levels = toughcert.verify._build_level_table
+
+    # the build reads the order below through the module name, so the
+    # whole chain of tables is rebuilt and recorded
+    @lru_cache(maxsize=None)
+    def comps(r):
+        built.append(("comps", r))
+        return build_comps(r)
+
+    def levels(r, smax, deleted):
+        built.append(("levels", r, smax, deleted))
+        return build_levels(r, smax, deleted)
+
+    monkeypatch.setattr(toughcert.verify, "_comps_table", comps)
+    monkeypatch.setattr(toughcert.verify, "_build_level_table", levels)
+    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    return built
+
+
+def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeypatch):
+    # the warm-up before a fork reads an empty range; the pool test runs
+    # order 5, so here an order-8 chunk after it must build no table
+    built = _record_table_builds(monkeypatch)
+    _scan_tables(8, 0, 0, 2)
+    assert ("comps", 7) in built and ("levels", 7, 2, 1) in built
+    warmed = list(built)
+    _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), threshold(2, 8).value, 1e-9, 1e-9, True))
+    assert built == warmed
 
 
 def test_delete_matches_vertex_deletion():
@@ -476,6 +530,14 @@ def test_extremal_masks_count():
             assert masks.size == (n if n == t + 2 else n * comb(n - 1, t)), (n, t)
 
 
+def test_extremal_masks_match_the_pairwise_enumeration():
+    # the package ANDs the pairs each leaf avoids; the reference lists
+    # every labeling pair by pair
+    for n in range(3, 9):
+        for t in range(1, n - 1):
+            assert _extremal_masks(n, t).tolist() == enumerated_extremal_masks(n, t), (n, t)
+
+
 def test_order_7_scan_reads_tables_as_slices(monkeypatch):
     # up to the table order a chunk is a slice of the component and
     # level tables, and so is an enumeration block: no per-mask count or
@@ -483,7 +545,7 @@ def test_order_7_scan_reads_tables_as_slices(monkeypatch):
     def refuse(*args):
         raise AssertionError("table read through an index array")
 
-    monkeypatch.setattr(toughcert.verify, "_counts", refuse)
+    monkeypatch.setattr(toughcert.verify, "_contract", refuse)
     monkeypatch.setattr(toughcert.verify, "_levels", refuse)
     text = "".join(line + "\n" for line in report_lines(verify_theorem(7, 2)))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
@@ -643,7 +705,9 @@ def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
 
 def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
     # no real processes: the fake context records the pool size it is
-    # asked for and maps in this process
+    # asked for and maps in this process.  The tables are emptied before
+    # each run, and the warm-up before the pool must build every table
+    # the chunks read.
     requested = []
 
     class FakePool:
@@ -657,7 +721,11 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
             return False
 
         def map(self, fn, items):
-            return [fn(x) for x in items]
+            warmed = list(built)
+            assert ("levels", 5, 2, 0) in warmed and ("comps", 5) in warmed
+            results = [fn(x) for x in items]
+            assert built == warmed, "a table was built inside the pool"
+            return results
 
     class FakeContext:
         Pool = FakePool
@@ -668,6 +736,7 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
         # 2^10 masks in chunks of 64, on the cores in the affinity set
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         requested.clear()
+        built = _record_table_builds(monkeypatch)
         capped = verify_theorem(5, 1, workers=10**6, chunk_size=64)
         assert requested == pools, cores
         assert report_lines(capped) == serial
@@ -675,6 +744,7 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     requested.clear()
+    built = _record_table_builds(monkeypatch)
     verify_theorem(5, 1, workers=10**6, chunk_size=64)
     assert requested == [5]
 
