@@ -91,7 +91,12 @@ def full_spectrum(matrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:
     return Spectrum(tuple(float(x) for x in w[::-1]), residual)
 
 
-def _check_partition(m: int, blocks) -> list[list[int]]:
+def _check_partition(a: np.ndarray, blocks) -> list[list[int]]:
+    """``blocks`` read once into lists, checked to partition the indices
+    of the square matrix ``a``."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError("matrix must be square")
+    m = a.shape[0]
     parts = [list(b) for b in blocks]
     if not parts or any(not p for p in parts):
         raise DomainError("partition blocks must be nonempty")
@@ -110,9 +115,7 @@ def quotient_matrix(matrix, blocks) -> np.ndarray:
     """Block-averaged quotient: entry (i, j) is the total weight from a
     block-i row into block j divided by the size of block i."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix must be square")
-    parts = _check_partition(a.shape[0], blocks)
+    parts = _check_partition(a, blocks)
     k = len(parts)
     q = np.zeros((k, k))
     for i, bi in enumerate(parts):
@@ -125,9 +128,7 @@ def is_equitable(matrix, blocks, tol: float = 1e-9) -> bool:
     """Whether each vertex of block i sends the same total weight into
     block j, for every pair (i, j)."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError("matrix must be square")
-    parts = _check_partition(a.shape[0], blocks)
+    parts = _check_partition(a, blocks)
     for bi in parts:
         for bj in parts:
             sums = a[np.ix_(bi, bj)].sum(axis=1)
@@ -144,12 +145,12 @@ def quotient_spectrum(matrix, blocks) -> Spectrum:
     so the symmetric solver applies.
     """
     a = np.asarray(matrix, dtype=float)
-    q = quotient_matrix(a, blocks)
+    parts = _check_partition(a, blocks)
+    q = quotient_matrix(a, parts)
     scale = float(np.linalg.norm(a))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, scale):
         raise DomainError("matrix must be symmetric")
-    sizes = np.array([len(list(b)) for b in blocks], dtype=float)
-    d = np.sqrt(sizes)
+    d = np.sqrt(np.array([len(p) for p in parts], dtype=float))
     sym = q * d[:, None] / d[None, :]
     sym = (sym + sym.T) / 2.0
     return full_spectrum(sym)
@@ -160,8 +161,9 @@ def quotient_radius_check(g: Graph, blocks) -> tuple[float, float]:
     equitable partition of ``g``; the two agree for equitable partitions.
     Rejects non-equitable partitions."""
     a = adjacency_matrix(g)
-    if not is_equitable(a, blocks):
+    parts = _check_partition(a, blocks)
+    if not is_equitable(a, parts):
         raise DomainError("partition is not equitable")
     lam = spectral_radius(g)
-    qlam = quotient_spectrum(a, blocks).radius
+    qlam = quotient_spectrum(a, parts).radius
     return lam, qlam

@@ -21,11 +21,11 @@ the top block down.  avoid(v) keeps vertex 0's pairs below (0, v), so a
 gather moves whole runs of 2^(v-1) masks, and vertex 0 needs no gather:
 about two gathered entries per mask and cut size, not one per cut.
 The levels of every mask of order min(n, 7) sit in one table per
-process, built for the cut sizes the first t needs; a later t reuses it
-unless it needs larger cuts, so a sweep over t = 1..5 that starts at
-t = 1 builds it once.  At order 8 the table is built with one vertex of
-every cut deleted beforehand, read at the order-7 mask of G - v for each
-vertex v, and the largest of the eight readings kept.  A scan chunk is
+process, built once for cuts of up to (n - 1) // 2 vertices: larger
+cuts read level 0, so the table answers every t.  At order 8 the table
+is built with one vertex of every cut deleted beforehand, read at the
+order-7 mask of G - v for each vertex v, and the largest of the eight
+readings kept.  A scan chunk is
 a contiguous mask range, whose connectivity and levels one reader gives
 as table slices up to order 7, and at order 8 by the contraction and
 the G - v readings of the connected masks.  It lists only the masks of
@@ -418,31 +418,20 @@ def _delete(n: int, masks: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-# (order, deleted vertices) -> (smax, the levels of every mask for cuts
-# up to smax)
-_LEVEL_TABLES: dict[tuple[int, int], tuple[int, np.ndarray]] = {}
-
-
-def _level_table(r: int, smax: int, deleted: int = 0) -> np.ndarray:
-    """Toughness levels of every labeled graph of order r + ``deleted``
-    (``r`` <= ``_TABLE_ORDER``, ``deleted`` 0 or 1), read at the edge
-    mask of the order-``r`` graph left once the deleted vertex is
-    removed: the largest floor((c(G - S) - 1) / |S|) over cuts S with
-    1 <= |S| <= ``smax`` that contain the deleted vertex.  A graph fails 1/t-toughness iff
+@lru_cache(maxsize=None)
+def _level_table(r: int, deleted: int = 0) -> np.ndarray:
+    """Toughness levels of every labeled graph of order
+    n = r + ``deleted`` (``r`` <= ``_TABLE_ORDER``, ``deleted`` 0 or 1),
+    read at the edge mask of the order-``r`` graph left once the deleted
+    vertex is removed: the largest floor((c(G - S) - 1) / |S|) over cuts
+    S that contain the deleted vertex.  A graph fails 1/t-toughness iff
     some cut leaves c(G - S) >= t|S| + 1 components, that is iff its
-    level is at least t, once ``smax`` >= (n - 1) // (t + 1):
-    c(G - S) <= n - |S| already rules out larger cuts.  So one table per
-    (order, deleted) is kept for the process: a table built for a larger
-    cap answers a smaller one exactly, and a larger cap rebuilds and
-    replaces it."""
-    held = _LEVEL_TABLES.get((r, deleted))
-    if held is None or held[0] < smax:
-        held = _LEVEL_TABLES[r, deleted] = (smax, _build_level_table(r, smax, deleted))
-    return held[1]
+    level is at least t.  Since c(G - S) <= n - |S|, a cut of more than
+    (n - 1) // 2 vertices reads level 0, so cuts of 1..(n - 1) // 2
+    vertices (the t = 1 cap) give every level exactly and the one table
+    answers every t.  Built once per (order, deleted) and process.
 
-
-def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
-    """``_level_table``'s levels, by a recursion on cut size.  Clearing
+    The levels come from a recursion on cut size.  Clearing
     the pairs that meet a cut S isolates its vertices, so the component
     table reads c(G - S) + |S| at the masked graph.  T_0 is the component
     table and T_k[mask] = max over v of T_{k-1}[mask & avoid(v)] is the
@@ -479,7 +468,7 @@ def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
         runs.append((a, width, reading.reshape(-1, 1 << width), idx,
                      gathered.reshape(-1, 1 << width)))
     values = np.arange(256)
-    for size in range(1, smax + 1):
+    for size in range(1, (r + deleted - 1) // 2 + 1):
         isolated = size - deleted
         # a reading of c + isolated is level floor((c - 1) / size)
         lookup = np.maximum((values - isolated - 1) // size, 0).astype(np.uint8)
@@ -495,14 +484,13 @@ def _build_level_table(r: int, smax: int, deleted: int) -> np.ndarray:
     return level
 
 
-def _levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
+def _levels(n: int, masks: np.ndarray) -> np.ndarray:
     """Toughness levels (uint8) of the graphs of order
-    n = _TABLE_ORDER + 1 with int64 edge ``masks``, for cuts of up to
-    ``smax`` vertices.  Every cut holds some vertex v, so the level is the
-    largest over v of the order-7 level table that counts v in every
-    cut, read at the mask of G - v.  Up to the table order the scan reads
-    the level table itself."""
-    table = _level_table(n - 1, smax, 1)
+    n = _TABLE_ORDER + 1 with int64 edge ``masks``.  Every cut holds
+    some vertex v, so the level is the largest over v of the order-7
+    level table that counts v in every cut, read at the mask of G - v.
+    Up to the table order the scan reads the level table itself."""
+    table = _level_table(n - 1, 1)
     level = np.zeros(masks.size, dtype=np.uint8)
     for v in range(n):
         np.maximum(level, table[_delete(n, masks, v)], out=level)
@@ -518,17 +506,17 @@ def _connected(n: int, lo: int, hi: int) -> np.ndarray:
     return _contract(n, np.arange(lo, hi, dtype=np.int64)) == 1
 
 
-def _scan_tables(n: int, lo: int, hi: int, smax: int) -> tuple[np.ndarray, np.ndarray]:
+def _scan_tables(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(conn, level) over the order-``n`` edge masks [lo, hi): whether
-    each graph is connected, and its level for cuts of up to ``smax``
-    vertices (0 where disconnected above the table order).  An empty
-    range builds exactly the tables that a range reads."""
+    each graph is connected, and its toughness level (0 where
+    disconnected above the table order).  An empty range builds exactly
+    the tables that a range reads."""
     conn = _connected(n, lo, hi)
     if n <= _TABLE_ORDER:
-        return conn, _level_table(n, smax)[lo:hi]
+        return conn, _level_table(n)[lo:hi]
     where = np.flatnonzero(conn)
     level = np.zeros(conn.size, dtype=np.uint8)
-    level[where] = _levels(n, where + lo, smax)
+    level[where] = _levels(n, where + lo)
     return conn, level
 
 
@@ -570,7 +558,6 @@ def _scan_chunk(args) -> dict:
     counts cannot change the merged result.
     """
     (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities) = args
-    smax = (n - 1) // (t + 1)
 
     # the sharpness-example labelings are enumerated, not searched for
     named = _extremal_masks(n, t)
@@ -581,7 +568,7 @@ def _scan_chunk(args) -> dict:
     # t, read from the per-process level table.  Only the masks of the
     # graphs that fail toughness are listed (those of the tough ones
     # only for curiosities).
-    conn, level = _scan_tables(n, lo, hi, smax)
+    conn, level = _scan_tables(n, lo, hi)
     ngraphs = int(np.count_nonzero(conn))
     violated = np.flatnonzero(conn & (level >= t)) + lo
     assert conn[named - lo].all(), "a sharpness labeling was not scanned"
@@ -733,10 +720,9 @@ def verify_theorem(
     positive integer; no more processes are forked than there are chunks
     or cores this process may run on.
     """
-    if not isinstance(t, int) or t < 1:
-        raise DomainError("t must be a positive integer")
-    if not isinstance(n, int) or n < t + 2:
-        raise DomainError(f"order n must be an integer >= t + 2 = {t + 2}")
+    started = time.perf_counter()
+    # threshold checks t and n >= t + 2 first
+    eta = threshold(t, n).value
     for name, eps in (("eps_eq", eps_eq), ("eps_strict", eps_strict)):
         if not (math.isfinite(eps) and eps >= 0):
             raise DomainError(f"{name} must be finite and nonnegative")
@@ -750,8 +736,6 @@ def verify_theorem(
             f"order {n} exceeds the scan cap {cap}"
             + ("" if allow_order_8 else " (pass allow_order_8 to push to 8)")
         )
-    started = time.perf_counter()
-    eta = threshold(t, n).value
     total = 1 << (n * (n - 1) // 2)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     argv = [
@@ -761,7 +745,7 @@ def verify_theorem(
     processes = min(workers, len(argv), _usable_cores())
     if processes > 1:
         # warm the tables before forking so children inherit them
-        _scan_tables(n, 0, 0, (n - 1) // (t + 1))
+        _scan_tables(n, 0, 0)
         with get_context("fork").Pool(processes) as pool:
             results = pool.map(_scan_chunk, argv)
     else:

@@ -137,9 +137,9 @@ def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
 
 
 def recursion_levels(r: int, deleted: int):
-    """Yield the level tables (uint8, every mask of order ``r``) that
-    ``_build_level_table(r, cap, deleted)`` builds, for cap = 0, 1, ...,
-    r - 1 in turn, by the same recursion on cut size done the plain way:
+    """Yield the level tables (uint8, every mask of order ``r``) for cuts
+    of up to cap = 0, 1, ..., r - 1 vertices in turn, by the recursion on
+    cut size that ``_level_table(r, deleted)`` runs, done the plain way:
     T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], one gather per
     vertex over the whole table into a fresh array, no blocks and no
     runs."""

@@ -215,6 +215,25 @@ def test_quotient_radius_check_rejects_non_equitable():
         quotient_radius_check(paw, [[0], [1, 2, 3]])
 
 
+def test_quotient_routines_read_blocks_once():
+    # a generator of blocks, or a block given as an iterator, can be
+    # read only once: each form gives what the list form gives
+    g = build_extremal(2, 6)  # K1 v (K3 u 2K1)
+    a = adjacency_matrix(g)
+    blocks = [[0], [1, 2, 3], [4, 5]]
+    forms = {
+        "list": lambda: blocks,
+        "generator": lambda: (list(b) for b in blocks),
+        "iterator blocks": lambda: [iter(b) for b in blocks],
+    }
+    want_spectrum = quotient_spectrum(a, blocks)
+    want_check = quotient_radius_check(g, blocks)
+    assert abs(want_check[0] - want_check[1]) <= 1e-9
+    for name, form in forms.items():
+        assert quotient_spectrum(a, form()) == want_spectrum, name
+        assert quotient_radius_check(g, form()) == want_check, name
+
+
 def test_quotient_eigenvalues_embed_in_spectrum():
     for t, n in [(1, 5), (2, 6), (2, 8)]:
         g = build_extremal(t, n)

@@ -69,7 +69,7 @@ def test_matches_unpruned_oracle_exhaustively_small():
     for n in range(1, 7):
         graphs = list(enumerate_connected(n))
         masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.int64)
-        levels = _level_table(n, (n - 1) // 2)[masks].tolist()
+        levels = _level_table(n)[masks].tolist()
         for g, level in zip(graphs, levels):
             mine = toughness_exact(g)
             ref = brute_toughness(g)

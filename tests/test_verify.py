@@ -36,7 +36,6 @@ from toughcert.verify import (
     VERDICT_TOUGH,
     _TABLE_BLOCK,
     _adjacency_stack,
-    _build_level_table,
     _comps_table,
     _contract,
     _delete,
@@ -174,44 +173,61 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
     assert not built
 
 
-def test_level_table_matches_cut_oracle(monkeypatch):
-    # the recursion on cut size against one cut at a time: every
-    # connected mask up to order 6 at every cut cap, then a seeded sample
-    # of order 7, whose 32 blocks check the top-down in-place update; the
-    # check against the unpruned toughness oracle is in test_toughness.py
+def test_level_table_matches_cut_oracle():
+    # the recursion on cut size, built at the t = 1 cap, against every
+    # cut one at a time: every connected mask up to order 6, then a
+    # seeded sample of order 7, whose 32 blocks check the top-down
+    # in-place update; the check against the unpruned toughness oracle
+    # is in test_toughness.py
     for n in range(1, 7):
         cmasks = np.flatnonzero(_comps_table(n) == 1)
-        for cap in range(n):
-            monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-            table = _level_table(n, cap)
-            assert table.dtype == np.uint8 and table.size == 1 << (n * (n - 1) // 2)
-            assert (table[cmasks] == cut_levels(n, cmasks, cap)).all(), (n, cap)
+        table = _level_table(n)
+        assert table.dtype == np.uint8 and table.size == 1 << (n * (n - 1) // 2)
+        assert (table[cmasks] == cut_levels(n, cmasks, n - 1)).all(), n
     sample = np.random.default_rng(83).choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
-    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-    assert (_level_table(7, 3)[sample] == cut_levels(7, sample, 3)).all()
+    assert (_level_table(7)[sample] == cut_levels(7, sample, 6)).all()
 
 
 def test_level_table_matches_recursion_oracle():
     # the build gathers runs of 2^(v-1) masks a block at a time; the
     # oracle gathers mask by mask over the whole table, so a wrong run
-    # width or offset shows as a differing byte
+    # width or offset shows as a differing byte.  The oracle runs every
+    # cut size: those above the built cap add nothing.
     for r in range(1, 8):
         for deleted in (0, 1):
-            for cap, ref in enumerate(recursion_levels(r, deleted)):
-                got = _build_level_table(r, cap, deleted)
-                assert got.dtype == np.uint8
-                assert np.array_equal(got, ref), (r, cap, deleted)
+            *_, ref = recursion_levels(r, deleted)
+            got = _level_table(r, deleted)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, ref), (r, deleted)
 
 
-def test_order_8_levels_match_cut_oracle(monkeypatch):
+def test_order_8_levels_match_cut_oracle():
     # order 8 reads the order-7 table that counts the deleted vertex in
     # every cut, at the mask of G - v, for each v
     sample = np.random.default_rng(89).integers(0, 1 << 28, 20_000)
-    for cap in (1, 2, 3):
-        monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-        level = _levels(8, sample, cap)
-        assert level.dtype == np.uint8
-        assert (level == cut_levels(8, sample, cap)).all(), cap
+    level = _levels(8, sample)
+    assert level.dtype == np.uint8
+    assert (level == cut_levels(8, sample, 7)).all()
+
+
+def test_one_level_table_answers_every_t():
+    # a graph fails 1/t-toughness iff some cut of at most
+    # (n - 1) // (t + 1) vertices leaves t|S| + 1 components: the table
+    # built once at the t = 1 cap gives that answer at every t.  The
+    # sharpness labelings make sure each t has graphs that fail.
+    rng = np.random.default_rng(101)
+    connected = rng.choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
+    for n, sample, level in (
+        (7, connected, lambda masks: _level_table(7)[masks]),
+        (8, rng.integers(0, 1 << 28, 20_000), lambda masks: _levels(8, masks)),
+    ):
+        named = [_extremal_masks(n, t) for t in range(1, n - 1)]
+        sample = np.concatenate([sample, *named])
+        got = level(sample)
+        for t in range(1, n - 1):
+            want = cut_levels(n, sample, (n - 1) // (t + 1)) >= t
+            assert np.array_equal(got >= t, want), (n, t)
+            assert want.any() and not want.all(), (n, t)
 
 
 def test_scan_tables_match_the_per_mask_readers():
@@ -225,19 +241,17 @@ def test_scan_tables_match_the_per_mask_readers():
         ref = _contract(8, masks) == 1
         if lo == 0:
             assert 0 < np.count_nonzero(ref) < ref.size // 2
-        for smax in (1, 2, 3):
-            conn, level = _scan_tables(8, lo, hi, smax)
-            assert np.array_equal(conn, ref), (lo, smax)
-            assert level.dtype == np.uint8 and level.size == masks.size
-            assert np.array_equal(level[conn], _levels(8, masks[conn], smax)), (lo, smax)
-            assert not level[~conn].any(), (lo, smax)
+        conn, level = _scan_tables(8, lo, hi)
+        assert np.array_equal(conn, ref), lo
+        assert level.dtype == np.uint8 and level.size == masks.size
+        assert np.array_equal(level[conn], _levels(8, masks[conn])), lo
+        assert not level[~conn].any(), lo
     for n in (5, 6, 7):
         total = 1 << (n * (n - 1) // 2)
         for lo, hi in ((0, total), (total // 3, total // 3 + 1000)):
-            for smax in range(1, (n - 1) // 2 + 1):
-                conn, level = _scan_tables(n, lo, hi, smax)
-                assert np.array_equal(conn, _comps_table(n)[lo:hi] == 1), (n, lo)
-                assert np.array_equal(level, _level_table(n, smax)[lo:hi]), (n, lo, smax)
+            conn, level = _scan_tables(n, lo, hi)
+            assert np.array_equal(conn, _comps_table(n)[lo:hi] == 1), (n, lo)
+            assert np.array_equal(level, _level_table(n)[lo:hi]), (n, lo)
 
 
 def _record_table_builds(monkeypatch) -> list:
@@ -245,22 +259,22 @@ def _record_table_builds(monkeypatch) -> list:
     return the list that every later table build is appended to."""
     built = []
     build_comps = toughcert.verify._comps_table.__wrapped__
-    build_levels = toughcert.verify._build_level_table
+    build_levels = toughcert.verify._level_table.__wrapped__
 
-    # the build reads the order below through the module name, so the
-    # whole chain of tables is rebuilt and recorded
+    # the builds read the tables they start from through the module
+    # names, so the whole chain of tables is rebuilt and recorded
     @lru_cache(maxsize=None)
     def comps(r):
         built.append(("comps", r))
         return build_comps(r)
 
-    def levels(r, smax, deleted):
-        built.append(("levels", r, smax, deleted))
-        return build_levels(r, smax, deleted)
+    @lru_cache(maxsize=None)
+    def levels(r, deleted=0):
+        built.append(("levels", r, deleted))
+        return build_levels(r, deleted)
 
     monkeypatch.setattr(toughcert.verify, "_comps_table", comps)
-    monkeypatch.setattr(toughcert.verify, "_build_level_table", levels)
-    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    monkeypatch.setattr(toughcert.verify, "_level_table", levels)
     return built
 
 
@@ -268,8 +282,8 @@ def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeyp
     # the warm-up before a fork reads an empty range; the pool test runs
     # order 5, so here an order-8 chunk after it must build no table
     built = _record_table_builds(monkeypatch)
-    _scan_tables(8, 0, 0, 2)
-    assert ("comps", 7) in built and ("levels", 7, 2, 1) in built
+    _scan_tables(8, 0, 0)
+    assert ("comps", 7) in built and ("levels", 7, 1) in built
     warmed = list(built)
     _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), threshold(2, 8).value, 1e-9, 1e-9, True))
     assert built == warmed
@@ -571,7 +585,7 @@ def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n
     before = _scan_chunk(args)
     assert label in before["exceptional_masks"] and not before["failures"]
     r = min(n, 7)
-    table = _level_table(r, 2, n - r).copy()
+    table = _level_table(r, n - r).copy()
     if n == 7:
         table[label] = 0
     else:
@@ -602,7 +616,8 @@ def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, 
         table[(label >> 7) | int(_star(8)[near])] = 2
     monkeypatch.setattr(toughcert.verify, "_comps_table", lambda r: table if r == 7 else real(r))
     # a level table built from the patched counts goes with the test
-    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
+    fresh = lru_cache(maxsize=None)(_level_table.__wrapped__)
+    monkeypatch.setattr(toughcert.verify, "_level_table", fresh)
     with pytest.raises(AssertionError, match="sharpness labeling was not scanned"):
         _scan_chunk(args)
 
@@ -629,28 +644,16 @@ def test_verify_theorem_order_7_report_bytes(t):
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t]
 
 
-@pytest.mark.parametrize(
-    "ts, caps",
-    [((1, 2, 3, 4, 5), [3]), ((5, 4, 3, 2, 1), [1, 2, 3]), ((3, 1, 5, 2, 4), [1, 3])],
-)
-def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts, caps):
-    # one level table per process: a table built for a cut cap serves
-    # every t whose cap is no larger, a larger cap rebuilds it, and the
-    # report bytes do not depend on the order the t values come in
-    monkeypatch.setattr(toughcert.verify, "_LEVEL_TABLES", {})
-    builds = []
-    real = toughcert.verify._build_level_table
-
-    def counting(r, smax, deleted):
-        builds.append((r, smax))
-        return real(r, smax, deleted)
-
-    monkeypatch.setattr(toughcert.verify, "_build_level_table", counting)
+@pytest.mark.parametrize("ts", [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1), (3, 1, 5, 2, 4)])
+def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts):
+    # one level table per order and process, built at the t = 1 cut cap:
+    # every t reads it, whichever comes first, and the report bytes do
+    # not depend on the order the t values come in
+    built = _record_table_builds(monkeypatch)
     for t in ts:
         text = "".join(line + "\n" for line in report_lines(verify_theorem(7, t)))
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t], t
-    # one order-7 table build per new largest cap; the scan reads it
-    assert builds == [(7, cap) for cap in caps]
+    assert [b for b in built if b[0] == "levels"] == [("levels", 7, 0)]
 
 
 def test_verify_theorem_order_7_report_bytes_with_large_chunks():
@@ -672,9 +675,9 @@ def test_verify_theorem_deterministic_reports():
 
 
 def test_verify_theorem_guards():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="t must be a positive integer"):
         verify_theorem(4, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"order n must be an integer >= t \+ 2 = 4"):
         verify_theorem(3, 2)  # n below t + 2
     with pytest.raises(SizeLimitError):
         verify_theorem(8, 1)  # needs allow_order_8
@@ -722,7 +725,7 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
 
         def map(self, fn, items):
             warmed = list(built)
-            assert ("levels", 5, 2, 0) in warmed and ("comps", 5) in warmed
+            assert ("levels", 5, 0) in warmed and ("comps", 5) in warmed
             results = [fn(x) for x in items]
             assert built == warmed, "a table was built inside the pool"
             return results
