@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,17 +41,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _matrix(n: int, rows: Iterable[int]) -> np.ndarray:
-    """Rows in ``[0, 2**n)`` as a 0/1 uint8 matrix; ``m[i, j]`` is bit j of row i."""
-    width = (n + 7) // 8
-    data = b"".join(row.to_bytes(width, "little") for row in rows)
-    bits = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
+def _matrix(n: int, rows: Sequence[int]) -> np.ndarray:
+    """Rows in ``[0, 2**n)`` as a 0/1 uint8 matrix; ``m[i, j]`` is bit j of row i.
+    Up to order 64 each row is one little-endian machine word."""
+    if n <= 64:
+        bits = np.array(rows, dtype="<u8").view(np.uint8).reshape(n, 8)
+    else:
+        width = (n + 7) // 8
+        data = b"".join(row.to_bytes(width, "little") for row in rows)
+        bits = np.frombuffer(data, dtype=np.uint8).reshape(n, width)
     return np.unpackbits(bits, axis=1, count=n, bitorder="little")
 
 
 def _rows(m: np.ndarray) -> tuple[int, ...]:
     """Inverse of ``_matrix``: the row bitmasks of a square 0/1 matrix."""
     packed = np.packbits(m, axis=1, bitorder="little")
+    if len(m) <= 64:
+        words = np.zeros((len(m), 8), dtype=np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return tuple(words.view("<u8").ravel().tolist())
     width = 8 * packed.shape[1]  # bits per row, padded to whole bytes
     whole = int.from_bytes(packed.tobytes(), "little")
     return tuple((whole >> v * width) & ((1 << width) - 1) for v in range(len(m)))

@@ -1,15 +1,19 @@
 """Dense symmetric eigenvalue routines sized for small graphs.
 
-Every eigenvalue comes from LAPACK's symmetric solver through
-``numpy.linalg``: ``eigvalsh`` for largest adjacency eigenvalues (one
-call for a whole stack of matrices) and ``eigh`` for full spectra,
-whose residual ||AV - V diag(w)||_F is measured and reported.  LAPACK
-failures surface as ``ConvergenceError``.
+Full spectra come from LAPACK's ``eigh`` through ``numpy.linalg``, with
+the residual ||AV - V diag(w)||_F measured and reported.  Largest
+adjacency eigenvalues come from ``eigvalsh`` (one call for a whole stack
+of matrices), except that ``spectral_radius`` first tries repeated
+squaring on orders where that is faster, and keeps its answer only when
+a Collatz-Wielandt bracket shows that ``eigvalsh`` would print the same
+digits and fall on the same side of every value the caller compares
+against.  LAPACK failures surface as ``ConvergenceError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,6 +34,19 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 512
+
+# Orders on which spectral_radius tries repeated squaring before
+# eigvalsh: below 24 eigvalsh is faster, and past about 250 the O(n^3)
+# squarings no longer win (timings in CHANGES.md).
+_SQUARING_ORDERS = range(24, 201)
+# Squarings after which an undecided bracket hands over to eigvalsh.
+# Random graphs of orders 24-62 decide by the 9th; paths and cycles up
+# to order 70, whose relative gap (lambda_1 - lambda_2)/(lambda_1 + 1)
+# is about 0.002, by the 14th.  Smaller gaps, such as the barbells of
+# the tests, need more.
+_SQUARINGS_MAX = 14
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -60,9 +77,74 @@ def spectral_radii(adjacency: np.ndarray) -> np.ndarray:
         raise ConvergenceError(str(exc)) from exc
 
 
-def spectral_radius(g: Graph) -> float:
-    """Largest adjacency eigenvalue of ``g``."""
-    return float(spectral_radii(adjacency_matrix(g)[None])[0])
+def _perron_brackets(a: np.ndarray) -> Iterator[tuple[float, float, np.ndarray, np.ndarray]]:
+    """Brackets [lo, hi] on the largest eigenvalue of the 0/1 symmetric
+    matrix ``a``, each with the vector x it came from and Ax, one after
+    every squaring of B = A + I from the fourth on.
+
+    The shift makes the Perron root strictly dominant even on bipartite
+    graphs (|lambda_n + 1| <= lambda_1 - 1 < lambda_1 + 1).  B^16 has
+    entries below n^16, and from then on each squaring is divided by its
+    trace, so the positive semidefinite B^(2^k) keeps every entry at
+    most 1 and nothing overflows.  Row 0, x, is positive once every
+    vertex lies within 2^k steps of vertex 0; then
+    min (Ax)_i/x_i <= lambda_1 <= max (Ax)_i/x_i (Collatz-Wielandt).
+    The terms of Ax are nonnegative, so its rounding and the division's
+    stay within a relative n u, and widening by 2(n + 1)u covers them
+    and the widening's own rounding.  The brackets end at the squaring
+    cap; when x still has a zero (a disconnected graph, or an entry
+    below the normal range) after 2^k >= n - 1; and once the ratios
+    agree to within that widening, since more squarings cannot narrow
+    the bracket further.  ``np.dot`` is used for its lower call overhead
+    than ``@`` on matrices this small."""
+    n = len(a)
+    b = a + np.eye(n)
+    slack = 2 * (n + 1) * _UNIT_ROUNDOFF
+    for k in range(1, _SQUARINGS_MAX + 1):
+        b = np.dot(b, b)
+        if k < 4:
+            continue
+        b *= 1.0 / b.trace()
+        x = b[0]
+        if x.min() < _SMALLEST_NORMAL:
+            if 1 << k >= n - 1:
+                return
+            continue
+        ax = np.dot(a, x)
+        r = ax / x
+        lo, hi = float(r.min()), float(r.max())
+        yield lo * (1 - slack), hi * (1 + slack), x, ax
+        if hi - lo <= slack * hi:
+            return
+
+
+def spectral_radius(g: Graph, *, cuts: tuple[float, ...] = ()) -> float:
+    """Largest adjacency eigenvalue of ``g``.
+
+    On orders 24 to 200 the value is first sought by repeated squaring
+    of A + I (``_perron_brackets``).  Each Collatz-Wielandt bracket is
+    widened by a further n u hi, ``eigvalsh``'s own error bound, so it
+    holds ``eigvalsh``'s value as well as lambda_1.  Once it fixes the 12
+    significant digits every report prints and contains none of
+    ``cuts``, the values the caller compares the radius against, the
+    Rayleigh quotient x.Ax/x.x of its vector is returned.  Otherwise
+    (other orders, a disconnected graph, a bracket that straddles a
+    printed digit or a cut, or 14 squarings without a decision) the
+    value is ``eigvalsh``'s.  So a printed value, or a comparison with a
+    cut, can differ from ``eigvalsh``'s only where ``eigvalsh`` misses
+    its own error bound.  The window and the cap are fixed constants,
+    not settings.
+    """
+    a = adjacency_matrix(g)
+    if g.n in _SQUARING_ORDERS:
+        for lo, hi, x, ax in _perron_brackets(a):
+            pad = g.n * _UNIT_ROUNDOFF * hi
+            lo, hi = lo - pad, hi + pad
+            if f"{lo:.12g}" == f"{hi:.12g}" and not any(lo <= c <= hi for c in cuts):
+                theta = float(np.dot(x, ax)) / float(np.dot(x, x))
+                if lo <= theta <= hi:
+                    return theta
+    return float(spectral_radii(a[None])[0])
 
 
 def full_spectrum(matrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:

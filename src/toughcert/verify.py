@@ -237,8 +237,8 @@ def certify(
         raise HypothesisError("certification requires a connected graph")
     # t, the order and connectivity are checked once, above, for the
     # extremal recognition and the oracle alike
-    lam = spectral_radius(g)
     eta = threshold(t, g.n).value
+    lam = spectral_radius(g, cuts=(eta + epsilon,))
     if _extremal_core(g.adj, g.n, t):
         verdict = VERDICT_EXCEPTIONAL
     elif lam >= eta + epsilon:

@@ -1,7 +1,9 @@
 """Independent reference implementations used only by the tests.
 
 Everything here deliberately avoids the package's own algorithms:
-component counts run on vertex sets instead of bitmasks, eigenvalues
+component counts grow each component one vertex at a time from a
+worklist held as a Python-int vertex set (checked against a plain-set
+count), where the package grows whole frontiers or reads tables, eigenvalues
 come from numpy's LAPACK bindings on a matrix built entry by entry, and
 ``radius_below`` brackets the largest eigenvalue without LAPACK at all,
 in exact rational arithmetic.  Cut enumeration has no pruning,
@@ -36,10 +38,33 @@ def neighbor_sets(g: Graph) -> list[set[int]]:
 
 
 def brute_components(g: Graph, removed: set[int]) -> int:
-    return _count_components(neighbor_sets(g), set(range(g.n)) - set(removed))
+    left = (1 << g.n) - 1
+    for v in removed:
+        left &= ~(1 << v)
+    return _count_components(g.adj, left)
 
 
-def _count_components(nbrs: list[set[int]], left: set[int]) -> int:
+def _count_components(nbrs, left: int) -> int:
+    """Components induced on the vertex bitset ``left``: each grows from
+    its lowest vertex, expanding one vertex at a time off a bitset of
+    vertices still to expand."""
+    count = 0
+    while left:
+        stack = seen = left & -left
+        while stack:
+            low = stack & -stack
+            stack ^= low
+            fresh = nbrs[low.bit_length() - 1] & left & ~seen
+            seen |= fresh
+            stack |= fresh
+        left &= ~seen
+        count += 1
+    return count
+
+
+def set_components(nbrs: list[set[int]], left: set[int]) -> int:
+    """The same count on Python sets, kept as the reference the bitset
+    count is checked against."""
     count = 0
     while left:
         stack = [next(iter(left))]
@@ -85,17 +110,15 @@ def bfs_extremal(g: Graph, t: int) -> bool:
 
 def brute_toughness(g: Graph) -> Fraction | None:
     """None means infinite (complete graph).  No pruning at all."""
-    nbrs = neighbor_sets(g)
-    best: Fraction | None = None
+    full = (1 << g.n) - 1
+    vertices = [1 << v for v in range(g.n)]
+    best: tuple[int, int] | None = None  # (|S|, c(G - S)) of the least ratio
     for size in range(1, g.n):
-        for cut in combinations(range(g.n), size):
-            c = _count_components(nbrs, set(range(g.n)) - set(cut))
-            if c < 2:
-                continue
-            ratio = Fraction(size, c)
-            if best is None or ratio < best:
-                best = ratio
-    return best
+        for cut in combinations(vertices, size):
+            c = _count_components(g.adj, full - sum(cut))
+            if c >= 2 and (best is None or size * best[1] < best[0] * c):
+                best = (size, c)
+    return None if best is None else Fraction(*best)
 
 
 def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:

@@ -1,13 +1,24 @@
 import importlib.util
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import toughcert.verify
-from toughcert import ThresholdResult, certify, from_edges, parse_graph6, threshold, to_graph6
+from toughcert import (
+    ThresholdResult,
+    certify,
+    from_edges,
+    is_connected,
+    parse_graph6,
+    spectral,
+    threshold,
+    to_graph6,
+)
 from toughcert.cli import run
+from toughcert.thresholds import build_extremal
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +166,66 @@ def test_certify_output_equals_reencoded_reports(bench_records, workload, tmp_pa
             for s in records
         ]
         assert lines == expected
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _squaring_stream(rng, t):
+    """200 connected certify inputs of orders 24-62: G(n, p) with p in
+    0.05-0.99 over a random spanning tree, the sharpness example, and
+    the sharpness example with one pair toggled."""
+    graphs = []
+    for _ in range(170):
+        n, p = rng.randint(24, 62), rng.uniform(0.05, 0.99)
+        order = rng.sample(range(n), n)
+        edges = {(order[i], order[rng.randrange(i)]) for i in range(1, n)}
+        edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+        graphs.append(from_edges(n, edges))
+    for _ in range(10):
+        graphs.append(_relabeled(build_extremal(t, rng.randint(24, 62)), rng))
+    while len(graphs) < 200:
+        g = build_extremal(t, rng.randint(24, 62))
+        u, v = sorted(rng.sample(range(g.n), 2))
+        h = from_edges(g.n, set(g.edges()) ^ {(u, v)})
+        if is_connected(h):
+            graphs.append(_relabeled(h, rng))
+    return [to_graph6(g) for g in graphs]
+
+
+def test_squaring_solver_leaves_every_report_byte_identical(tmp_path, capsys, monkeypatch, lapack_calls):
+    # the same runs with the squaring window emptied give eigvalsh's
+    # value for every radius; the bytes must not move, and at most 2% of
+    # the certify records may reach eigvalsh while the window is open
+    rng = random.Random(97)
+    paths = {}
+    for t in (1, 2, 3):
+        paths[t] = tmp_path / f"t{t}.g6"
+        paths[t].write_text("".join(s + "\n" for s in _squaring_stream(rng, t)), encoding="ascii")
+
+    def outputs():
+        out = {}
+        for t, path in paths.items():
+            assert run(["certify", "--t", str(t), "--file", str(path)]) == 0
+            out["certify", t] = capsys.readouterr().out
+        reached = len(lapack_calls)
+        for t, path in paths.items():
+            assert run(["spectral-radius", "--file", str(path)]) == 0
+            out["spectral-radius", t] = capsys.readouterr().out
+        for n in (100, 150):
+            for t in (1, 2, 3):
+                assert run(["extremal", "--n", str(n), "--t", str(t), "--format", "json"]) == 0
+                out["extremal", n, t] = capsys.readouterr().out
+        return out, reached
+
+    squared, reached = outputs()
+    assert sum(squared["certify", t].count("\n") for t in paths) == 600
+    assert reached <= 0.02 * 600, reached
+    monkeypatch.setattr(spectral, "_SQUARING_ORDERS", range(0))
+    assert outputs()[0] == squared
 
 
 def test_certify_conflicting_cross_check_flags_exit_2(capsys):

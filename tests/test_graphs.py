@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from toughcert import (
@@ -18,11 +19,12 @@ from toughcert import (
     parse_graph6,
     to_graph6,
 )
-from toughcert.graphs import _extremal_core
+from toughcert.graphs import _extremal_core, _matrix, _rows
 from toughcert.thresholds import build_extremal
 from toughcert.verify import enumerate_connected, graph_from_mask
 
 from oracles import (
+    _count_components,
     bfs_extremal,
     brute_components,
     brute_connected,
@@ -31,6 +33,7 @@ from oracles import (
     isomorphic,
     neighbor_sets,
     random_graph,
+    set_components,
 )
 
 
@@ -142,6 +145,35 @@ def test_components_match_set_oracle():
             removed.pop()
         assert components_after_removal(g, removed) == brute_components(g, removed)
         assert is_connected(g) == brute_connected(g)
+
+
+def test_bitset_component_oracle_matches_the_set_count():
+    # every graph of order <= 5 and every vertex subset left after a removal
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            nbrs = neighbor_sets(g)
+            for left in range(1 << n):
+                vertices = {v for v in range(n) if left >> v & 1}
+                assert _count_components(g.adj, left) == set_components(nbrs, vertices), (n, mask, left)
+
+
+def test_rows_and_matrix_match_a_plain_bit_loop():
+    # orders up to 64 pack each row into one machine word, larger ones
+    # into bytes; 63, 64 and 65 sit on either side of the word
+    rng = random.Random(71)
+    for n in range(1, 71):
+        full = (1 << n) - 1
+        for rows in [(0,) * n, (full,) * n] + [
+            tuple(rng.getrandbits(n) for _ in range(n)) for _ in range(4)
+        ]:
+            m = _matrix(n, rows)
+            assert m.dtype == np.uint8 and m.shape == (n, n), n
+            assert m.tolist() == [[row >> j & 1 for j in range(n)] for row in rows], n
+            assert _rows(m) == rows, n
+            assert all(type(row) is int for row in _rows(m)), n
+        bits = np.array([[rng.getrandbits(1) for _ in range(n)] for _ in range(n)], dtype=np.uint8)
+        assert _rows(bits) == tuple(sum(int(b) << j for j, b in enumerate(r)) for r in bits), n
 
 
 def test_is_extremal_examples():

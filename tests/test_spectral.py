@@ -9,6 +9,7 @@ from toughcert import (
     SizeLimitError,
     adjacency_matrix,
     complete,
+    disjoint_union,
     empty,
     from_edges,
     full_spectrum,
@@ -19,7 +20,8 @@ from toughcert import (
     quotient_spectrum,
     spectral_radius,
 )
-from toughcert.thresholds import build_extremal
+from toughcert.spectral import _perron_brackets
+from toughcert.thresholds import build_extremal, threshold
 
 from oracles import (
     eig_radius,
@@ -85,6 +87,92 @@ def test_spectral_radius_exact_bracket():
         lam = spectral_radius(g)
         assert radius_below(g, lam + 1e-9)
         assert not radius_below(g, lam - 1e-9)
+
+
+def _path(n):
+    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete_bipartite(a, b):
+    return join(empty(a), empty(b))
+
+
+def test_squaring_brackets_contain_the_exact_radius():
+    # the last bracket, where the ratios agree to rounding level or the
+    # cap is reached, is the tightest: its ends sit within a few
+    # rounding errors of lambda_1
+    rng = random.Random(29)
+    graphs = [
+        random_connected_graph(rng, n, rng.uniform(0.15, 0.9)) for n in (24, 27, 31, 35, 40)
+    ]
+    graphs += [_path(30), _cycle(30), _complete_bipartite(11, 14), complete(30)]
+    graphs += [build_extremal(t, 30) for t in (1, 2, 3)]
+    for g in graphs:
+        *_, (lo, hi, x, ax) = _perron_brackets(adjacency_matrix(g))
+        assert lo <= float(x @ ax) / float(x @ x) <= hi, g
+        assert not radius_below(g, lo), g
+        assert radius_below(g, hi), g
+
+
+def test_squaring_decides_bipartite_and_long_path_graphs(lapack_calls):
+    # the +I shift is what lets bipartite graphs converge: without it
+    # row 0 of every even power of A vanishes on the far side
+    path = _path(70)
+    assert (np.linalg.matrix_power(adjacency_matrix(path) + np.eye(70), 16)[0] == 0).any()
+    cases = [
+        (path, 2 * math.cos(math.pi / 71)),
+        (_path(30), 2 * math.cos(math.pi / 31)),
+        (_cycle(30), 2.0),
+        (_cycle(64), 2.0),
+        (_complete_bipartite(12, 14), math.sqrt(12 * 14)),
+        (complete(30), 29.0),
+        (complete(200), 199.0),
+    ]
+    for g, exact in cases:
+        assert abs(spectral_radius(g) - exact) <= 1e-12 * exact, g.n
+    assert lapack_calls == []
+
+
+def test_disconnected_and_small_gap_graphs_take_lapack(lapack_calls):
+    graphs = [
+        disjoint_union(complete(12), complete(12)),
+        disjoint_union(_path(29), complete(1)),
+        disjoint_union(complete(1), _cycle(40)),
+        # gaps 0.008 and 0.009 at orders 30 and 27: 14 squarings are
+        # not enough for 12 digits
+        _barbell_with_leaf(12, 3),
+        _barbell_with_leaf(11, 4),
+        # gaps 0.049 and 0.054 at orders 14 and 16, below the window
+        _barbell_with_leaf(5, 3),
+        _barbell_with_leaf(7, 1),
+    ]
+    for g in graphs:
+        assert spectral_radius(g) == eig_radius(g), g.n
+    assert lapack_calls == [1] * len(graphs)
+
+
+def test_a_cut_inside_the_bracket_takes_lapack(lapack_calls):
+    # lambda_1 of the sharpness example is exactly the threshold
+    for t in (1, 2, 3):
+        g = build_extremal(t, 40)
+        eta = threshold(t, 40).value
+        assert abs(spectral_radius(g, cuts=(eta + 1e-9,)) - eta) <= 1e-12 * eta
+        assert lapack_calls == []
+        assert spectral_radius(g, cuts=(1.0, eta)) == eig_radius(g)
+        assert lapack_calls == [1]
+        lapack_calls.clear()
+    # on K_30 the ratios (Ax)_i/x_i all round to 29(1 - u): a cut 75 u
+    # above 29 lies past the Collatz-Wielandt bracket (60 u) but inside
+    # eigvalsh's error allowance (30 u more), so it still takes eigvalsh
+    u = float(np.finfo(float).eps) / 2
+    assert abs(spectral_radius(complete(30), cuts=(29 * (1 + 120 * u),)) - 29) <= 1e-12
+    assert lapack_calls == []
+    assert spectral_radius(complete(30), cuts=(29 * (1 + 75 * u),)) == eig_radius(complete(30))
+    assert lapack_calls == [1]
 
 
 def test_spectral_radius_matches_lapack_oracle():
