@@ -20,10 +20,17 @@ order.  All comparisons are done in integers, with the ratio keys also
 cached per order, so the reported value is exact.
 
 ``is_one_over_t_tough`` reads a cut plan cached per (n, t): the cuts
-that can violate t |S| >= c(G - S), their sets V - S, and the count
-each must exceed.  A call then only builds the graph's tables and
-compares.  ``certify`` has already checked connectivity, so it enters
-through ``_one_over_t_tough``, which skips that check.
+that can violate t |S| >= c(G - S), their sets V - S, the count each
+must exceed, and per cut size the degree bound below.  A call first
+reads the graph's sorted degree sequence: a cut S of size s that leaves
+at least k components has a vertex of degree at most s + |C_i| - 1 in
+each component C_i, so the k smallest degrees sum to at most
+n - s + k (s - 1) (Chvatal, "Tough graphs and Hamiltonian circuits",
+1973).  When the degrees exceed that bound for every size, no cut can
+violate and the call answers without any table.  Otherwise it builds
+the graph's tables and compares, over the same plan, so witnesses do
+not depend on the rule.  ``certify`` has already checked connectivity,
+so it enters through ``_one_over_t_tough``, which skips that check.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, lcm
 
 import numpy as np
@@ -100,15 +108,21 @@ def _unions(values) -> np.ndarray:
     return np.bitwise_or.outer(half(values[k:]), half(values[:k])).ravel()
 
 
+# The per-order arrays are cached for every order up to the limit, so a
+# stream of mixed orders builds each once; their memory is ruled by the
+# largest orders, which any cache that serves them holds anyway.
+_ORDERS = EXHAUSTIVE_LIMIT + 1
+
+
 # int64 masks index the tables directly; 2^n entries bound n far below 63
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_ORDERS)
 def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every vertex subset U of order ``n`` and its lowest vertex bit."""
     subsets = np.arange(1 << n, dtype=np.int64)
     return subsets, subsets & -subsets
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_ORDERS)
 def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Masks, sets V - S and sizes of every cut S with
     1 <= |S| <= n - 2, in (size, lexicographic) order.  Among sets of one
@@ -126,7 +140,7 @@ def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cuts, full ^ cuts, sizes[order]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_ORDERS)
 def _ratio_scale(n: int) -> np.ndarray:
     """Integer keys for the ratios s / c of order ``n``: s / c is
     s * (L // c) / L with L = lcm(1..n), so ``scale[c]`` = L // c orders
@@ -137,18 +151,38 @@ def _ratio_scale(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _cut_plan(n: int, tn: int, td: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cut_plan(
+    n: int, tn: int, td: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
     """The cuts S of order ``n`` that can violate t |S| >= c(G - S) for
     t = tn / td, in (size, lexicographic) order, with their sets V - S
-    and the count c(G - S) must exceed for S to violate it."""
+    and the count c(G - S) must exceed for S to violate it; and, for
+    each of their sizes s, the pair (k, bound) that ``_degrees_rule_out``
+    reads."""
     cuts, rests, sizes = _cut_order(n)
     # c(G - S) <= n - |S|, so only sizes with t |S| < n - |S| can violate
     top = min((td * n - 1) // (tn + td), n - 2)
     # the cut order holds the C(n, s) cuts of each size s in turn
     k = sum(comb(n, s) for s in range(1, top + 1))
     # t s < c exactly when c > floor(t s); a violation also needs c >= 2
-    floor = np.array([max(1, tn * s // td) for s in range(top + 1)], dtype=np.uint8)
-    return cuts[:k], rests[:k], floor[sizes[:k]]
+    floor = [max(1, tn * s // td) for s in range(top + 1)]
+    # a violation leaves at least floor + 1 components, at most n - s
+    # for every planned size s
+    rule = tuple((f + 1, n - s + (f + 1) * (s - 1)) for s, f in enumerate(floor) if s)
+    return cuts[:k], rests[:k], np.array(floor, dtype=np.uint8)[sizes[:k]], rule
+
+
+def _degrees_rule_out(adj: tuple[int, ...], rule: tuple[tuple[int, int], ...]) -> bool:
+    """Whether the degrees alone show that no cut S of any size s in
+    ``rule`` leaves k or more components: for each pair (k, bound) the k
+    smallest degrees sum above bound = n - s + k (s - 1).  Each component
+    C_i of G - S holds a vertex whose neighbours lie in C_i and S, of
+    degree at most s + |C_i| - 1, so k of the components give k distinct
+    vertices whose degrees sum to at most (n - s) + k (s - 1).  An empty
+    ``rule`` rules out everything."""
+    # smallest[k] is the sum of the k smallest degrees
+    smallest = list(accumulate(sorted(map(int.bit_count, adj)), initial=0))
+    return all(smallest[k] > bound for k, bound in rule)
 
 
 def _component_counts(g: Graph, rests: np.ndarray) -> np.ndarray:
@@ -199,10 +233,16 @@ def _one_over_t_tough(
     g: Graph, tn: int, td: int, max_order: int = EXHAUSTIVE_LIMIT
 ) -> tuple[bool, tuple[int, ...] | None]:
     """``is_one_over_t_tough`` for t = tn / td > 0 on a graph already
-    known to be connected; only the order is checked."""
+    known to be connected; only the order is checked.
+
+    A graph whose degrees rule out every planned cut size (see
+    ``_degrees_rule_out``) is 1/t-tough with no subset table built; a
+    plan with no cuts rules out everything.  Any other graph gets the
+    all-subset pass over the whole plan, so a non-tough graph's witness
+    is the first violating cut in (size, lexicographic) order."""
     _check_order(g, max_order)
-    cuts, rests, floor = _cut_plan(g.n, tn, td)
-    if not cuts.size:
+    cuts, rests, floor, rule = _cut_plan(g.n, tn, td)
+    if _degrees_rule_out(g.adj, rule):
         return True, None
     violated = _component_counts(g, rests) > floor
     i = int(violated.argmax())

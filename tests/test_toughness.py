@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -8,17 +9,20 @@ from toughcert import (
     DomainError,
     SizeLimitError,
     build_extremal,
+    certify,
     complete,
     components_after_removal,
     disjoint_union,
     empty,
     from_edges,
+    is_connected,
     is_one_over_t_tough,
     join,
     parse_graph6,
     toughness_exact,
 )
-from toughcert.toughness import _cut_order, _cut_plan, _ratio_scale
+from toughcert import toughness
+from toughcert.toughness import _cut_order, _cut_plan, _degrees_rule_out, _ratio_scale
 from toughcert.verify import _level_table, enumerate_connected, mask_of_graph
 
 from oracles import brute_components, brute_toughness, random_connected_graph
@@ -64,15 +68,24 @@ def test_witness_reproduces_the_ratio():
 def test_matches_unpruned_oracle_exhaustively_small():
     # also the exhaustive scan's toughness level: level >= t exactly
     # when the toughness is below 1/t, for every t, from one level per
-    # graph over cuts up to the t = 1 cap
+    # graph over cuts up to the t = 1 cap; and the degree rule: whenever
+    # it rules out every cut size the graph is 1/t-tough, and from order
+    # 3 on it decides some graph whose plan is not empty
     ts = (Fraction(1, 2), Fraction(3, 2))
+    rule_ts = (Fraction(1), Fraction(2), Fraction(3)) + ts
     for n in range(1, 7):
         graphs = list(enumerate_connected(n))
         masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.int64)
         levels = _level_table(n)[masks].tolist()
+        rules = [_cut_plan(n, t.numerator, t.denominator)[3] for t in rule_ts]
+        decided = 0
         for g, level in zip(graphs, levels):
             mine = toughness_exact(g)
             ref = brute_toughness(g)
+            for t, rule in zip(rule_ts, rules):
+                if _degrees_rule_out(g.adj, rule):
+                    assert ref is None or ref >= 1 / t, (n, g.adj, t)
+                    decided += bool(rule)
             for t in range(1, 5):
                 assert (level >= t) == (ref is not None and ref < Fraction(1, t)), (n, g.adj, t)
             if ref is None:
@@ -84,6 +97,7 @@ def test_matches_unpruned_oracle_exhaustively_small():
                 assert ok == (ref is None or ref >= 1 / t), (n, g.adj, t)
                 if not ok:
                     assert t * len(witness) < brute_components(g, set(witness))
+        assert decided or n < 3, n
 
 
 def test_matches_unpruned_oracle_random():
@@ -217,6 +231,104 @@ def test_cut_plan_cache_keys_t_exactly():
             assert got[0] == expected, (g.adj, t)
             assert is_one_over_t_tough(g, Fraction(t)) == got
     assert _cut_plan.cache_info().currsize <= _cut_plan.cache_info().maxsize == 8
+
+
+def test_per_order_caches_hold_a_cycle_of_ten_orders():
+    # a stream that cycles through orders builds each cut order once
+    _cut_order.cache_clear()
+    for _ in range(3):
+        for n in range(3, 13):
+            path = from_edges(n, [(v, v + 1) for v in range(n - 1)])
+            assert toughness_exact(path).value() == Fraction(1, 2), n
+    info = _cut_order.cache_info()
+    assert (info.misses, info.hits) == (10, 20)
+
+
+def test_degree_rule_equality_is_not_ruled_out():
+    # P3 at t = 1: the two leaves' degrees sum to n - s + k (s - 1) = 2,
+    # the bound itself, and the centre is a violating cut
+    p3 = from_edges(3, [(0, 1), (1, 2)])
+    assert _cut_plan(3, 1, 1)[3] == ((2, 2),)
+    assert not _degrees_rule_out(p3.adj, _cut_plan(3, 1, 1)[3])
+    assert is_one_over_t_tough(p3, 1) == (False, (1,))
+    # the sharpness examples meet the bound with equality at |S| = 1
+    for t in (1, 2, 3):
+        g = build_extremal(t, 10)
+        assert not _degrees_rule_out(g.adj, _cut_plan(10, t, 1)[3])
+        assert is_one_over_t_tough(g, t) == (False, (0,))
+
+
+def test_degree_rule_skips_the_subset_pass(monkeypatch):
+    calls = []
+    counts = toughness._component_counts
+
+    def spy(g, rests):
+        calls.append(g.n)
+        return counts(g, rests)
+
+    monkeypatch.setattr(toughness, "_component_counts", spy)
+    # K10 minus a perfect matching: every degree is 8
+    dense = from_edges(10, [(i, j) for i in range(10) for j in range(i + 1, 10) if j != i ^ 1])
+    assert certify(dense, 1).cross_check == {"tough": True, "witness": None}
+    assert is_one_over_t_tough(dense, Fraction(3, 2)) == (True, None)
+    assert calls == []
+    rep = certify(build_extremal(1, 10), 1)
+    assert rep.cross_check == {"tough": False, "witness": [0]}
+    assert calls == [10]
+
+
+def _certify_stream(rng):
+    """Connected graphs of orders 3-10: G(n, p) over a random spanning
+    tree for p from 0.1 to 0.95, sharpness examples, and sharpness
+    examples with one pair toggled."""
+    graphs = []
+    for n in range(3, 11):
+        for _ in range(60):
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = {tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i}
+            p = rng.uniform(0.1, 0.95)
+            edges |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+            graphs.append(from_edges(n, sorted(edges)))
+        for t in range(1, n - 1):
+            g = build_extremal(t, n)
+            graphs.append(g)
+            for _ in range(3):
+                u, v = rng.sample(range(n), 2)
+                h = from_edges(n, list(set(g.edges()) ^ {(min(u, v), max(u, v))}))
+                if is_connected(h):
+                    graphs.append(h)
+    return graphs
+
+
+def test_degree_rule_leaves_certify_and_the_predicate_unchanged(monkeypatch):
+    graphs = _certify_stream(random.Random(67))
+
+    def outputs():
+        lines = [
+            json.dumps(certify(g, t).to_dict(), sort_keys=True)
+            for t in (1, 2, 3)
+            for g in graphs
+            if g.n >= t + 2
+        ]
+        answers = [is_one_over_t_tough(g, t) for t in (Fraction(1, 2), Fraction(3, 2)) for g in graphs]
+        return lines, answers
+
+    decided = []
+    rule_out = toughness._degrees_rule_out
+
+    def spy(adj, rule):
+        decided.append(rule_out(adj, rule))
+        return decided[-1]
+
+    monkeypatch.setattr(toughness, "_degrees_rule_out", spy)
+    lines, answers = outputs()
+    assert len(lines) >= 600
+    # the rule decides a good share of the stream, and leaves the rest
+    assert 0.2 < sum(decided) / len(decided) < 0.8
+    # with no size ruled out every call takes the subset pass
+    monkeypatch.setattr(toughness, "_degrees_rule_out", lambda adj, rule: not rule)
+    assert outputs() == (lines, answers)
 
 
 def test_predicate_agrees_with_exact_value():
