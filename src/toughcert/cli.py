@@ -30,6 +30,9 @@ from .verify import (
 
 __all__ = ["run", "main"]
 
+# one encoder for every JSON line; json.dumps would build one per record
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
@@ -83,13 +86,13 @@ def _cmd_threshold(args) -> int:
     res = threshold(args.t, args.n)
     coeffs = threshold_cubic(args.t, args.n).coefficients()
     if args.format == "json":
-        print(json.dumps({
+        print(_JSON.encode({
             "t": res.t,
             "n": res.n,
             "threshold": res.value,
             "bracket": list(res.bracket),
             "coefficients": list(coeffs),
-        }, sort_keys=True))
+        }))
     else:
         print(f"threshold(t={res.t}, n={res.n}) = {_fmt(res.value)}")
         print(
@@ -113,7 +116,7 @@ def _cmd_extremal(args) -> int:
     else:
         row["toughness"] = f"not computed (order exceeds exhaustive limit {EXHAUSTIVE_LIMIT})"
     if args.format == "json":
-        print(json.dumps(row, sort_keys=True))
+        print(_JSON.encode(row))
     else:
         for key in ("graph6", "n", "t", "lambda1", "threshold", "toughness"):
             print(f"{key}: {row[key]}")
@@ -130,13 +133,13 @@ def _cmd_toughness(args) -> int:
     for g6, g in _read_graphs(args):
         res = toughness_exact(g)
         if args.format == "json":
-            print(json.dumps({
+            print(_JSON.encode({
                 "graph6": g6,
                 "infinite": res.infinite,
                 "numerator": res.numerator,
                 "denominator": res.denominator,
                 "witness": list(res.witness) if res.witness else None,
-            }, sort_keys=True))
+            }))
         elif res.infinite:
             print(f"{g6}\tinfinite")
         else:
@@ -149,7 +152,7 @@ def _cmd_certify(args) -> int:
     for g6, g in _read_graphs(args):
         rep = certify(g, args.t, epsilon=args.epsilon, cross_check=args.cross_check,
                       graph6=g6)
-        print(json.dumps(rep.to_dict(), sort_keys=True))
+        print(_JSON.encode(rep.to_dict()))
     return 0
 
 

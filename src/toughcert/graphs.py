@@ -3,6 +3,10 @@
 Vertices are ``0..n-1`` and each vertex stores its neighborhood as an
 integer bitmask, which keeps traversal, subset removal and component
 counting cheap for the small dense graphs this package works with.
+Each graph also keeps its 0/1 adjacency matrix, unpacked once: graph6
+parsing gathers it straight from the decoded bits, the constructor
+keeps the one its symmetry check builds, and other builders unpack it
+on first use.  The eigenvalue routines and graph6 writing read it.
 Also provides the join/disjoint-union constructors and graph6 text I/O.
 """
 
@@ -11,6 +15,7 @@ from __future__ import annotations
 import base64
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,21 +58,20 @@ def _matrix(n: int, rows: Sequence[int]) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=n, bitorder="little")
 
 
-def _rows(m: np.ndarray) -> tuple[int, ...]:
-    """Inverse of ``_matrix``: the row bitmasks of a square 0/1 matrix."""
-    packed = np.packbits(m, axis=1, bitorder="little")
-    if len(m) <= 64:
-        words = np.zeros((len(m), 8), dtype=np.uint8)
-        words[:, : packed.shape[1]] = packed
-        return tuple(words.view("<u8").ravel().tolist())
-    width = 8 * packed.shape[1]  # bits per row, padded to whole bytes
-    whole = int.from_bytes(packed.tobytes(), "little")
-    return tuple((whole >> v * width) & ((1 << width) - 1) for v in range(len(m)))
+def _kept(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only: the matrix a graph keeps is shared by every
+    reader, so none of them may write into it."""
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``."""
+    """Immutable simple graph; ``adj[v]`` is the neighbor bitmask of ``v``.
+
+    ``_bitmatrix`` is the same adjacency as a read-only n x n 0/1 uint8
+    matrix.  It is a cache, not a field: equality, hashing and ``repr``
+    see ``n`` and ``adj`` only."""
 
     n: int
     adj: tuple[int, ...]
@@ -87,16 +91,24 @@ class Graph:
         if m.tobytes() != m.T.tobytes():
             v, u = divmod(int(np.flatnonzero(m > m.T)[0]), self.n)
             raise DomainError(f"asymmetric adjacency between {u} and {v}")
+        self.__dict__["_bitmatrix"] = _kept(m)
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple[int, ...]) -> Graph:
+    def _trusted(cls, n: int, adj: tuple[int, ...], matrix: np.ndarray | None = None) -> Graph:
         """A graph from rows that are in range, loop-free and symmetric by
         construction, without ``__post_init__``'s re-check.  Only the
-        builders that guarantee this (graph6 parsing and edge masks) call it."""
+        builders that guarantee this (graph6 parsing and edge masks) call it.
+        ``matrix``, when given, is the read-only 0/1 matrix of the same rows."""
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
         object.__setattr__(g, "adj", adj)
+        if matrix is not None:
+            g.__dict__["_bitmatrix"] = matrix
         return g
+
+    @cached_property
+    def _bitmatrix(self) -> np.ndarray:
+        return _kept(_matrix(self.n, self.adj))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -161,15 +173,20 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def _reach(adj: tuple[int, ...], start: int, within: int) -> int:
-    """Bitmask of vertices reachable from ``start`` inside ``within``."""
+    """Bitmask of vertices reachable from ``start`` inside ``within``.
+    Every vertex of ``within`` that some expanded row names is reached,
+    so once the expanded rows cover ``within`` the search stops: a dense
+    graph is done after two or three rows."""
     comp = start & within
     frontier = comp
+    grown = 0  # union of the rows expanded so far
     while frontier:
-        grown = 0
         rest = frontier
         while rest:
             low = rest & -rest
             grown |= adj[low.bit_length() - 1]
+            if grown & within == within:
+                return within
             rest ^= low
         frontier = grown & within & ~comp
         comp |= frontier
@@ -279,6 +296,22 @@ def _cells(n: int) -> np.ndarray:
     return _GRAPH6_CELLS[:n, :n] if n <= 62 else np.tri(n, n, -1, dtype=bool)
 
 
+@lru_cache(maxsize=4)
+def _pair_index(width: int) -> np.ndarray:
+    """Where the bit of each vertex pair sits in graph6 order, as a
+    ``width`` x ``width`` intp matrix: pair {i, j} with i < j is bit
+    j(j - 1)/2 + i, and the diagonal points at bit width(width - 1)/2,
+    one past the last pair.  It depends on the order only through the
+    width, the order rounded up to whole 64-bit words, so every order up
+    to 64 reads one 32 KB index.  The cache holds four widths, and
+    ``parse_graph6`` caches only widths up to 512 (2 MB each)."""
+    v = np.arange(width)
+    lo, hi = np.minimum.outer(v, v), np.maximum.outer(v, v)
+    index = hi * (hi - 1) // 2 + lo
+    np.fill_diagonal(index, width * (width - 1) // 2)
+    return _kept(index)
+
+
 def to_graph6(g: Graph) -> str:
     if g.n > _GRAPH6_MAX:
         raise DomainError(f"graph6 supports order at most {_GRAPH6_MAX}")
@@ -286,7 +319,7 @@ def to_graph6(g: Graph) -> str:
         header = chr(g.n + 63)
     else:
         header = "~" + "".join(chr((g.n >> s & 63) + 63) for s in (12, 6, 0))
-    bits = _matrix(g.n, g.adj)[_cells(g.n)]
+    bits = g._bitmatrix[_cells(g.n)]
     data = base64.b64encode(np.packbits(bits).tobytes()).translate(_FROM_BASE64)
     return header + data[: -(-bits.size // 6)].decode("ascii")
 
@@ -297,6 +330,13 @@ def parse_graph6(text: str) -> Graph:
     Rejects the 8-byte header of orders above 258047, a long-form header
     for an order below 63, bytes outside ``'?'..'~'``, wrong length and
     nonzero padding; every error carries the offending byte offset.
+
+    The decoded bits, zero-filled past the data, are gathered through
+    ``_pair_index`` into an n x width 0/1 matrix, both triangles at
+    once; every bit past the n(n - 1)/2 pairs is zero (a checked pad
+    bit or fill), so the diagonal and the columns past n read 0.  Its
+    rows pack straight into 64-bit words, and the graph keeps its first
+    n columns as its matrix.
     """
     if not text:
         raise Graph6ParseError("empty graph6 string", 0)
@@ -335,10 +375,18 @@ def parse_graph6(text: str) -> Graph:
     if (ord(text[-1]) - 63) % 2 ** (6 * ndata - nbits):  # last digit's pad bits
         raise Graph6ParseError("nonzero padding bits", h + ndata - 1)
     data = (text[h:] + "?" * (-ndata % 4)).encode("ascii").translate(_TO_BASE64)
-    bits = np.unpackbits(np.frombuffer(base64.b64decode(data), dtype=np.uint8))
-    m = np.zeros((n, n), dtype=np.uint8)
-    m[_cells(n)] = bits[:nbits]
-    return Graph._trusted(n, _rows(m | m.T))
+    width = -(-n // 64) * 64
+    # zero bytes out to the diagonal's bit; unpackbits' own ``count``
+    # padding is not used, as it leaves an empty input's pad uninitialised
+    data = base64.b64decode(data).ljust(width * (width - 1) // 16 + 1, b"\0")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    index = _pair_index(width) if width <= 512 else _pair_index.__wrapped__(width)
+    m = _kept(bits[index[:n]])
+    words = np.packbits(m, axis=1, bitorder="little").view("<u8")
+    adj = words[:, 0].tolist()
+    for w in range(1, width // 64):  # orders above 64: one more word per row
+        adj = [row | word << 64 * w for row, word in zip(adj, words[:, w].tolist())]
+    return Graph._trusted(n, tuple(adj), m[:, :n])
 
 
 def _graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -7,18 +7,23 @@ of matrices), except that ``spectral_radius`` first tries repeated
 squaring on orders where that is faster, and keeps its answer only when
 a Collatz-Wielandt bracket shows that ``eigvalsh`` would print the same
 digits and fall on the same side of every value the caller compares
-against.  LAPACK failures surface as ``ConvergenceError``.
+against.  The squaring reaches (A + I)^16 e0 with three products and
+one matrix-vector product, then takes one product and one
+matrix-vector product per bracket.  Adjacency matrices are read from
+the 0/1 matrix each graph keeps.  LAPACK failures surface as
+``ConvergenceError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SizeLimitError
-from .graphs import Graph, _matrix
+from .graphs import Graph
 
 __all__ = [
     "DENSE_LIMIT",
@@ -39,7 +44,8 @@ DENSE_LIMIT = 512
 # eigvalsh: below 24 eigvalsh is faster, and past about 250 the O(n^3)
 # squarings no longer win (timings in CHANGES.md).
 _SQUARING_ORDERS = range(24, 201)
-# Squarings after which an undecided bracket hands over to eigvalsh.
+# Squarings (powers 2^k of A + I, counted as k) after which an
+# undecided bracket hands over to eigvalsh.
 # Random graphs of orders 24-62 decide by the 9th; paths and cycles up
 # to order 70, whose relative gap (lambda_1 - lambda_2)/(lambda_1 + 1)
 # is about 0.002, by the 14th.  Smaller gaps, such as the barbells of
@@ -50,8 +56,16 @@ _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Symmetric 0/1 adjacency matrix as float64."""
-    return _matrix(g.n, g.adj).astype(float)
+    """Symmetric 0/1 adjacency matrix as a new float64 array."""
+    return g._bitmatrix.astype(float)
+
+
+# one per order in the squaring window
+@lru_cache(maxsize=len(_SQUARING_ORDERS))
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -79,33 +93,40 @@ def spectral_radii(adjacency: np.ndarray) -> np.ndarray:
 
 def _perron_brackets(a: np.ndarray) -> Iterator[tuple[float, float, np.ndarray, np.ndarray]]:
     """Brackets [lo, hi] on the largest eigenvalue of the 0/1 symmetric
-    matrix ``a``, each with the vector x it came from and Ax, one after
-    every squaring of B = A + I from the fourth on.
+    matrix ``a``, each with the vector x it came from and Ax: one for
+    x = (A + I)^(2^k) e0, row 0 of that power up to scale, at each k
+    from 4 on.
 
     The shift makes the Perron root strictly dominant even on bipartite
-    graphs (|lambda_n + 1| <= lambda_1 - 1 < lambda_1 + 1).  B^16 has
+    graphs (|lambda_n + 1| <= lambda_1 - 1 < lambda_1 + 1).  Three
+    squarings give b = B^8 for B = A + I, and x = b (row 0 of b) is
+    B^16 e0; after that each bracket squares b once and applies it to x,
+    so with b = B^(2^(k-1)) the new x is B^(2^k) e0.  B^16 and x have
     entries below n^16, and from then on each squaring is divided by its
-    trace, so the positive semidefinite B^(2^k) keeps every entry at
-    most 1 and nothing overflows.  Row 0, x, is positive once every
-    vertex lies within 2^k steps of vertex 0; then
-    min (Ax)_i/x_i <= lambda_1 <= max (Ax)_i/x_i (Collatz-Wielandt).
-    The terms of Ax are nonnegative, so its rounding and the division's
-    stay within a relative n u, and widening by 2(n + 1)u covers them
-    and the widening's own rounding.  The brackets end at the squaring
-    cap; when x still has a zero (a disconnected graph, or an entry
-    below the normal range) after 2^k >= n - 1; and once the ratios
-    agree to within that widening, since more squarings cannot narrow
-    the bracket further.  ``np.dot`` is used for its lower call overhead
-    than ``@`` on matrices this small."""
+    trace, so the positive semidefinite b has eigenvalues and entries at
+    most 1, x never grows in norm, and nothing overflows.  x is positive
+    once every vertex lies within 2^k steps of vertex 0; then
+    min (Ax)_i/x_i <= lambda_1 <= max (Ax)_i/x_i (Collatz-Wielandt), for
+    any positive x.  The terms of Ax are nonnegative, so its rounding
+    and the division's stay within a relative n u, and widening by
+    2(n + 1)u covers them and the widening's own rounding.  The brackets
+    end at 2^k = 2^14, the squaring cap; when x still has a zero (a
+    disconnected graph, or an entry below the normal range) after
+    2^k >= n - 1; and once the ratios agree to within that widening,
+    since more squarings cannot narrow the bracket further.  ``np.dot``
+    is used for its lower call overhead than ``@`` on matrices this
+    small."""
     n = len(a)
-    b = a + np.eye(n)
-    slack = 2 * (n + 1) * _UNIT_ROUNDOFF
-    for k in range(1, _SQUARINGS_MAX + 1):
+    b = a + _identity(n)
+    for _ in range(3):
         b = np.dot(b, b)
-        if k < 4:
-            continue
-        b *= 1.0 / b.trace()
-        x = b[0]
+    x = np.dot(b, b[0])
+    slack = 2 * (n + 1) * _UNIT_ROUNDOFF
+    for k in range(4, _SQUARINGS_MAX + 1):
+        if k > 4:
+            b = np.dot(b, b)
+            b *= 1.0 / b.trace()
+            x = np.dot(b, x)
         if x.min() < _SMALLEST_NORMAL:
             if 1 << k >= n - 1:
                 return

@@ -204,6 +204,13 @@ class CertificateReport:
         }
 
 
+# The sharpness example has lambda_1 = eta exactly, and spectral_radius
+# returns it within 1e-11 eta (a bracket fixing 12 digits) or n u eta
+# (eigvalsh), so certify runs the structural recognizer only when the
+# radius lies this close to the threshold, relative to it.
+_AT_THRESHOLD = 1e-9
+
+
 def certify(
     g: Graph,
     t: int,
@@ -215,7 +222,9 @@ def certify(
     """Apply the spectral sufficient condition for 1/t-toughness.
 
     Verdicts: ``exceptional`` when the graph is the known sharpness
-    example (which is not 1/t-tough despite meeting the threshold);
+    example (which is not 1/t-tough despite meeting the threshold; its
+    radius equals the threshold, so the rows are only inspected when
+    the radius lies within ``_AT_THRESHOLD`` of it);
     otherwise ``certified-tough`` when the largest adjacency eigenvalue
     is at least the threshold plus ``epsilon``, and ``inconclusive``
     when it is not, in which case the condition simply does not apply.
@@ -239,7 +248,7 @@ def certify(
     # extremal recognition and the oracle alike
     eta = threshold(t, g.n).value
     lam = spectral_radius(g, cuts=(eta + epsilon,))
-    if _extremal_core(g.adj, g.n, t):
+    if abs(lam - eta) <= _AT_THRESHOLD * eta and _extremal_core(g.adj, g.n, t):
         verdict = VERDICT_EXCEPTIONAL
     elif lam >= eta + epsilon:
         verdict = VERDICT_TOUGH

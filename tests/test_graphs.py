@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from toughcert import (
     parse_graph6,
     to_graph6,
 )
-from toughcert.graphs import _extremal_core, _matrix, _rows
+from toughcert.graphs import _extremal_core, _matrix
 from toughcert.thresholds import build_extremal
 from toughcert.verify import enumerate_connected, graph_from_mask
 
@@ -145,6 +146,15 @@ def test_components_match_set_oracle():
             removed.pop()
         assert components_after_removal(g, removed) == brute_components(g, removed)
         assert is_connected(g) == brute_connected(g)
+    # _reach stops once the expanded rows cover what it searches; every
+    # graph of order <= 5 and every removal set that leaves a vertex
+    for n in range(1, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_mask(n, mask)
+            assert is_connected(g) == brute_connected(g), (n, mask)
+            for removed in range((1 << n) - 1):
+                expected = brute_components(g, {v for v in range(n) if removed >> v & 1})
+                assert components_after_removal(g, removed) == expected, (n, mask, removed)
 
 
 def test_bitset_component_oracle_matches_the_set_count():
@@ -159,8 +169,8 @@ def test_bitset_component_oracle_matches_the_set_count():
 
 
 def test_rows_and_matrix_match_a_plain_bit_loop():
-    # orders up to 64 pack each row into one machine word, larger ones
-    # into bytes; 63, 64 and 65 sit on either side of the word
+    # orders up to 64 unpack each row from one machine word, larger ones
+    # from bytes; 63, 64 and 65 sit on either side of the word
     rng = random.Random(71)
     for n in range(1, 71):
         full = (1 << n) - 1
@@ -170,10 +180,24 @@ def test_rows_and_matrix_match_a_plain_bit_loop():
             m = _matrix(n, rows)
             assert m.dtype == np.uint8 and m.shape == (n, n), n
             assert m.tolist() == [[row >> j & 1 for j in range(n)] for row in rows], n
-            assert _rows(m) == rows, n
-            assert all(type(row) is int for row in _rows(m)), n
-        bits = np.array([[rng.getrandbits(1) for _ in range(n)] for _ in range(n)], dtype=np.uint8)
-        assert _rows(bits) == tuple(sum(int(b) << j for j, b in enumerate(r)) for r in bits), n
+
+
+def test_kept_matrix_is_a_cache_not_state():
+    rng = random.Random(83)
+    for n in (5, 30, 64, 65, 100):
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        built = from_edges(n, edges)
+        parsed = parse_graph6(to_graph6(built))
+        masked = Graph._trusted(n, built.adj)  # unpacks on first use
+        for g in (parsed, masked):
+            assert g == built and hash(g) == hash(built), n
+            assert repr(g) == repr(built), n
+            assert g._bitmatrix.tolist() == built._bitmatrix.tolist(), n
+            assert not g._bitmatrix.flags.writeable, n
+            for h in (pickle.loads(pickle.dumps(g)), pickle.loads(pickle.dumps(built))):
+                assert h == g and hash(h) == hash(g), n
+                assert h._bitmatrix.tolist() == g._bitmatrix.tolist(), n
+                assert to_graph6(h) == to_graph6(built), n
 
 
 def test_is_extremal_examples():
@@ -257,12 +281,24 @@ def test_graph6_round_trip_structured():
 
 
 def test_graph6_matches_bit_list_reference_at_every_order():
+    # the parser gathers a matrix one 64-bit word wide up to order 64,
+    # two words wide from 65, and at 513 through an index it does not
+    # cache; the graph keeps its first n columns
     rng = random.Random(17)
-    for n in [*range(1, 63), 63, 64, 100]:  # short form, then long form
-        for g in (empty(n), complete(n), random_graph(rng, n, 0.5)):
+    for n in [*range(1, 71), 100, 513]:  # short form to 62, then long form
+        graphs = [random_graph(rng, n, 0.5)]
+        if n <= 100:
+            graphs += [empty(n), complete(n)]
+        for g in graphs:
             text = graph6_encode(g)
             assert to_graph6(g) == text, n
-            assert neighbor_sets(parse_graph6(text)) == graph6_decode(text), n
+            parsed = parse_graph6(text)
+            nbrs = graph6_decode(text)
+            assert neighbor_sets(parsed) == nbrs, n
+            assert all(type(row) is int for row in parsed.adj), n
+            assert parsed._bitmatrix.tolist() == [
+                [int(u in nbrs[v]) for u in range(n)] for v in range(n)
+            ], n
 
 
 def test_graph6_errors_carry_offsets():

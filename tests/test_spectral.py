@@ -118,6 +118,44 @@ def test_squaring_brackets_contain_the_exact_radius():
         assert radius_below(g, hi), g
 
 
+def _power_rows(g):
+    """Row 0 of (A + I)^(2^k) for k = 1, 2, ..., each divided by its
+    largest entry: full squarings in Python integers, cut back to 200
+    bits after each, so an entry down to 2^-140 of the largest keeps 60
+    bits."""
+    b = np.array(
+        [[int(u == v or g.has_edge(u, v)) for u in range(g.n)] for v in range(g.n)],
+        dtype=object,
+    )
+    while True:
+        b = np.dot(b, b)
+        b = b >> max(0, max(int(e).bit_length() for e in b.flat) - 200)
+        top = max(b[0])
+        yield [int(e) / top for e in b[0]]
+
+
+def test_each_bracket_reads_row_0_of_the_next_power():
+    # three squarings and a product give B^16 e0, then each bracket one
+    # squaring and one product: the k-th vector is row 0 of B^(2^k), up
+    # to scale, from the first bracket (k = 4, or the first k whose row
+    # has no zero) to the last
+    rng = random.Random(31)
+    graphs = [
+        random_connected_graph(rng, n, rng.uniform(0.1, 0.9)) for n in (24, 29, 37, 46, 58, 70)
+    ]
+    graphs += [_path(70), _cycle(64), _barbell_with_leaf(12, 3)]
+    checked = 0
+    for g in graphs:
+        brackets = list(_perron_brackets(adjacency_matrix(g)))
+        assert brackets, g.n
+        rows = (row for k, row in enumerate(_power_rows(g), 1) if k >= 4 and min(row) > 0)
+        for (lo, hi, x, ax), row in zip(brackets, rows):
+            assert np.allclose(x / x.max(), row, rtol=1e-9, atol=0), (g.n, lo, hi)
+            checked += 1
+    # the path, cycle and barbell run to the cap of 14
+    assert checked >= 3 * 8
+
+
 def test_squaring_decides_bipartite_and_long_path_graphs(lapack_calls):
     # the +I shift is what lets bipartite graphs converge: without it
     # row 0 of every even power of A vanishes on the far side

@@ -475,6 +475,71 @@ def test_certify_checks_connectivity_once(monkeypatch):
         certify(complete(21), 1, cross_check=True)
 
 
+def test_certify_finds_every_sharpness_example_at_the_threshold():
+    # the structural check runs only where lambda_1 is within
+    # _AT_THRESHOLD of eta; the examples sit at eta exactly, whether the
+    # cut eta + epsilon lies inside the squaring bracket or far above it
+    for t in range(1, 6):
+        for n in range(t + 2, 201):
+            g = build_extremal(t, n)
+            for epsilon in (0.0, 1e-9, 0.5):
+                rep = certify(g, t, epsilon, cross_check=False)
+                assert rep.verdict == VERDICT_EXCEPTIONAL, (t, n, epsilon)
+
+
+def test_the_threshold_gate_changes_no_verdict(monkeypatch):
+    # graphs one vertex pair away from a relabeled sharpness example:
+    # verdicts and reports equal those with the structural check always on
+    rng = random.Random(97)
+    stream = []
+    while len(stream) < 300:
+        t = rng.randint(1, 5)
+        n = rng.randint(t + 2, 70)
+        perm = rng.sample(range(n), n)
+        edges = {tuple(sorted((perm[u], perm[v]))) for u, v in build_extremal(t, n).edges()}
+        edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+        g = from_edges(n, sorted(edges))
+        if is_connected(g):
+            stream.append((g, t, rng.choice((0.0, 1e-9, 0.5))))
+    gated = [certify(g, t, eps).to_dict() for g, t, eps in stream]
+    monkeypatch.setattr(toughcert.verify, "_AT_THRESHOLD", math.inf)
+    assert [certify(g, t, eps).to_dict() for g, t, eps in stream] == gated
+    assert {rec["verdict"] for rec in gated} >= {VERDICT_TOUGH, VERDICT_INCONCLUSIVE}
+
+
+def test_certify_skips_the_structural_check_far_from_the_threshold(monkeypatch):
+    calls = []
+    core = toughcert.verify._extremal_core
+
+    def spy(adj, n, t):
+        calls.append((n, t))
+        return core(adj, n, t)
+
+    monkeypatch.setattr(toughcert.verify, "_extremal_core", spy)
+    rng = random.Random(40)
+    for t in (1, 2, 3):
+        g = random_connected_graph(rng, 40, 0.9)
+        assert certify(g, t).verdict == VERDICT_INCONCLUSIVE
+    assert calls == []
+    assert certify(build_extremal(2, 40), 2).verdict == VERDICT_EXCEPTIONAL
+    assert calls == [(40, 2)]
+
+
+def test_writing_into_an_adjacency_matrix_changes_nothing_later():
+    rng = random.Random(53)
+    for n in (9, 40, 70):
+        g = random_connected_graph(rng, n, 0.5)
+        before = (adjacency_matrix(g).tolist(), to_graph6(g), spectral_radius(g),
+                  certify(g, 1).to_dict())
+        a = adjacency_matrix(g)
+        a[:] = 1.0
+        assert (adjacency_matrix(g).tolist(), to_graph6(g), spectral_radius(g),
+                certify(g, 1).to_dict()) == before, n
+        h = parse_graph6(to_graph6(g))
+        adjacency_matrix(h)[0, :] = 7.0
+        assert adjacency_matrix(h).tolist() == before[0], n
+
+
 def test_certify_never_contradicts_exact_oracle_small():
     # certified-tough must imply 1/t-tough on every connected graph
     for n in range(3, 6):
