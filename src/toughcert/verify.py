@@ -5,21 +5,18 @@ reports a verdict.  ``verify_theorem`` checks the condition against
 every connected labeled graph of a small order by exhaustive scan:
 graphs are integers (one bit per vertex pair), never decoded, and
 component counts come from one precomputed table indexed by edge mask,
-applied to whole mask ranges at once.  The tables, and connectivity at
-order 8, come from one contraction identity: an order-r mask is
-N | sub << (r - 1), with N vertex 0's neighbour set and sub the mask of
-G - 0, and contracting vertex 0 into its lowest neighbour keeps the
-count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).
+applied to whole mask ranges at once.  The component tables, and
+connectivity at order 8, come from one contraction identity: an order-r
+mask is N | sub << (r - 1), with N vertex 0's neighbour set and sub the
+mask of G - 0, and contracting vertex 0 into its lowest neighbour keeps
+the count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).
 The cuts S give each graph one toughness level, the largest
 floor((c(G - S) - 1) / |S|): the graph fails 1/t-toughness iff its level
-is at least t.  Clearing every pair that meets S leaves the vertices of
-S isolated, so the component table reads c(G - S) + |S| at the masked
-graph.  The largest reading over cuts of k vertices follows from the one
-over k - 1 by a recursion over the whole table,
-T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], updated in place from
-the top block down.  avoid(v) keeps vertex 0's pairs below (0, v), so a
-gather moves whole runs of 2^(v-1) masks, and vertex 0 needs no gather:
-about two gathered entries per mask and cut size, not one per cut.
+is at least t.  The level table splits at vertex 0 the same way: cuts
+that hold vertex 0 read the order-(r - 1) level table, with one more
+vertex deleted, at sub; cuts that leave it a neighbour read that table
+at sub | clique[N]; and cuts that hold all of N, isolating vertex 0,
+read the order-(r - 1) component table.
 The levels of every mask of order min(n, 7) sit in one table per
 process, built once for cuts of up to (n - 1) // 2 vertices: larger
 cuts read level 0, so the table answers every t.  At order 8 the table
@@ -327,17 +324,14 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 # -- exhaustive theorem scan ------------------------------------------------
 
-# Component tables go up to order _TABLE_ORDER: 2^21 uint8 entries
-# (2 MB) at order 7, where order 8 would need 2^28 (256 MB).  Every mask
-# pass (the component tables, the scan's default chunk, enumeration)
-# takes _TABLE_BLOCK masks at a time, which keeps each int64 temporary
-# at 512 KB.  The level build gathers _LEVEL_BLOCK masks at a time
-# through one int64 index array per vertex v >= 1, of one entry per run
-# of 2^(v-1) masks: about two blocks of int64 (256 KB) in all.  At 2^16
-# masks an order-7 sweep over t = 1..5 peaks 0.9 MB higher (VmHWM).
+# Component and level tables go up to order _TABLE_ORDER: 2^21 uint8
+# entries (2 MB) each at order 7, where order 8 would need 2^28
+# (256 MB).  Every mask pass (the tables, the scan's default chunk,
+# enumeration) takes _TABLE_BLOCK masks at a time, which keeps each
+# int64 temporary at 512 KB.  A level build also holds one uint8 term
+# per neighbour set of vertex 0 and order-(r - 1) mask: 2 MB at order 7.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
-_LEVEL_BLOCK = 1 << 14
 # the scan contracts or deletes at most one vertex before its lookup
 assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
 
@@ -353,6 +347,17 @@ def _star(r: int) -> np.ndarray:
     for e, (a, b) in enumerate(_edge_order(r - 1)):
         lowest_a = (near & ((2 << a) - 1)) == (1 << a)
         out |= (lowest_a & (near >> b) & 1) << e
+    return out
+
+
+@lru_cache(maxsize=None)
+def _clique(r: int) -> np.ndarray:
+    """The pairs joining two members of vertex 0's neighbour set N at
+    order ``r``, as an order-(r - 1) edge mask indexed as in ``_star``."""
+    near = np.arange(1 << (r - 1), dtype=np.int64)
+    out = np.zeros(near.size, dtype=np.int64)
+    for e, (a, b) in enumerate(_edge_order(r - 1)):
+        out |= (near >> a & near >> b & 1) << e
     return out
 
 
@@ -430,67 +435,59 @@ def _delete(n: int, masks: np.ndarray, v: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _level_table(r: int, deleted: int = 0) -> np.ndarray:
     """Toughness levels of every labeled graph of order
-    n = r + ``deleted`` (``r`` <= ``_TABLE_ORDER``, ``deleted`` 0 or 1),
-    read at the edge mask of the order-``r`` graph left once the deleted
-    vertex is removed: the largest floor((c(G - S) - 1) / |S|) over cuts
-    S that contain the deleted vertex.  A graph fails 1/t-toughness iff
-    some cut leaves c(G - S) >= t|S| + 1 components, that is iff its
-    level is at least t.  Since c(G - S) <= n - |S|, a cut of more than
-    (n - 1) // 2 vertices reads level 0, so cuts of 1..(n - 1) // 2
-    vertices (the t = 1 cap) give every level exactly and the one table
-    answers every t.  Built once per (order, deleted) and process.
+    n = r + ``deleted`` (``r`` <= ``_TABLE_ORDER``), read at the edge
+    mask of the order-``r`` graph left once the deleted vertices are
+    removed: the largest floor((c(G - S) - 1) / |S|) over cuts S that
+    hold every deleted vertex.  A graph fails 1/t-toughness iff some cut
+    leaves c(G - S) >= t|S| + 1 components, that is iff its level is at
+    least t.  Since c(G - S) <= n - |S|, a cut of more than
+    cap = (n - 1) // 2 vertices reads level 0, so cuts of 1..cap vertices
+    (the t = 1 cap) give every level exactly and the one table answers
+    every t.  The scan reads ``deleted`` 0, or 1 at order 8, and the
+    recursion larger values; each table is built once per process.
 
-    The levels come from a recursion on cut size.  Clearing
-    the pairs that meet a cut S isolates its vertices, so the component
-    table reads c(G - S) + |S| at the masked graph.  T_0 is the component
-    table and T_k[mask] = max over v of T_{k-1}[mask & avoid(v)] is the
-    largest such reading over cuts of k vertices.  A vertex chosen twice
-    only gives a smaller cut S', whose reading then maps to at most the
-    level S' has itself, so the recursion is exact.  A cut of ``size``
-    vertices isolates size - ``deleted`` of them in the table.
-
-    T_k overwrites T_{k-1} in one buffer, block by block from the top:
-    mask & avoid(v) is a submask, never above mask, so every block reads
-    only itself, gathered before it is written, and blocks still
-    holding T_{k-1}.
-
-    The gathers move runs of masks, not single masks.  Bits 0..r-2 are
-    vertex 0's pairs (0, 1)..(0, r-1).  avoid(0) clears all of them, so
-    each row of 2^(r-1) masks reads the row's first entry.  For v >= 1,
-    avoid(v) keeps bits 0..v-2 and clears bit v-1, so each aligned run of
-    2^(v-1) masks reads one run of 2^(v-1) consecutive masks: one
-    gather of rows of that width."""
+    The recursion on order splits at vertex 0 as ``_comps_table`` does:
+    a mask is N | sub << (r - 1), and L(r, d) is the largest of three
+    terms.  A cut that holds vertex 0 is a cut of sub with one more
+    vertex deleted, under the same n and cap: L(r - 1, d + 1)[sub].  A
+    cut that misses vertex 0 and leaves it a neighbour joins the rest of
+    N into one component, as a clique on N does whatever the cut removes
+    (a star would not, as the cut may hold its centre):
+    L(r - 1, d)[sub | clique[N]].  That table caps cuts at (n - 2) // 2,
+    but a larger cut leaves sub at most |S| components, level 0 either
+    way.  Cuts that hold all of N read one component short there and are
+    the third term: vertex 0 is isolated, so the level is
+    floor(c(sub - S) / (|S| + d)) over the cuts S >= N of sub, with
+    c(sub - S) = c_{r-1}(sub & avoid(S)) - |S|.  It is one term per S
+    over every sub, then a largest-superset pass, one vertex at a time,
+    in the layout (N, sub), which transposed starts the table."""
     total = 1 << (r * (r - 1) // 2)
-    block = min(total, _LEVEL_BLOCK)
-    reading = _comps_table(r).copy()
-    level = np.zeros(total, dtype=np.uint8)
-    best = np.empty(block, dtype=np.uint8)
-    gathered = np.empty(block, dtype=np.uint8)
-    row = 1 << (r - 1)
-    # lo is a multiple of the block, so (lo + i) & a = (lo & a) + (i & a):
-    # for v >= 1 a block reads the table, as runs of 2^(v-1) masks, from
-    # run (lo & a) >> (v - 1) on, at one index array per vertex
-    runs = []
-    for v in range(1, r):
-        a, width = _pairs_avoiding(r, v), v - 1
-        idx = np.arange(block >> width, dtype=np.int64) & (a >> width)
-        runs.append((a, width, reading.reshape(-1, 1 << width), idx,
-                     gathered.reshape(-1, 1 << width)))
-    values = np.arange(256)
-    for size in range(1, (r + deleted - 1) // 2 + 1):
-        isolated = size - deleted
-        # a reading of c + isolated is level floor((c - 1) / size)
-        lookup = np.maximum((values - isolated - 1) // size, 0).astype(np.uint8)
-        for lo in reversed(range(0, total, block)):
-            hi = lo + block
-            if isolated:
-                best.reshape(-1, row)[:] = reading[lo:hi:row, None]
-                for a, width, table, idx, out in runs:
-                    np.take(table[(lo & a) >> width:], idx, axis=0, out=out)
-                    np.maximum(best, gathered, out=best)
-                reading[lo:hi] = best
-            np.maximum(level[lo:hi], np.take(lookup, reading[lo:hi]), out=level[lo:hi])
-    return level
+    cap = (r + deleted - 1) // 2
+    # no cut of 1..cap vertices holds every deleted one: level 0 (order 1)
+    if cap < max(deleted, 1):
+        return np.zeros(total, dtype=np.uint8)
+    width = 1 << (r - 1)
+    rows = np.arange(total // width, dtype=np.int64)
+    avoid = np.array([_pairs_avoiding(r - 1, v) for v in range(r - 1)], dtype=np.int64)
+    isolating = np.zeros((width, rows.size), dtype=np.uint8)
+    for size in range(max(1 - deleted, 0), cap - deleted + 1):
+        term = (_comps_table(r - 1) - size) // (size + deleted)
+        for cut in combinations(range(r - 1), size):
+            kept = np.bitwise_and.reduce(avoid[list(cut)], initial=-1)
+            np.take(term, rows & kept, out=isolating[sum(1 << v for v in cut)])
+    for v in range(r - 1):
+        pairs = isolating.reshape(-1, 2, 1 << v, rows.size)
+        np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    out = isolating.T.copy().reshape(-1)
+    lower = _level_table(r - 1, deleted)
+    inner = _level_table(r - 1, deleted + 1)
+    clique = _clique(r)
+    for lo in range(0, total, _TABLE_BLOCK):
+        part = slice(lo // width, min(lo + _TABLE_BLOCK, total) // width)
+        block = out[lo:lo + _TABLE_BLOCK].reshape(-1, width)
+        np.maximum(block, np.take(lower, rows[part, None] | clique), out=block)
+        np.maximum(block, inner[part, None], out=block)
+    return out
 
 
 def _levels(n: int, masks: np.ndarray) -> np.ndarray:
@@ -520,9 +517,12 @@ def _scan_tables(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     each graph is connected, and its toughness level (0 where
     disconnected above the table order).  An empty range builds exactly
     the tables that a range reads."""
+    # the level build reads no component table of its order: it goes first
+    r = min(n, _TABLE_ORDER)
+    table = _level_table(r, n - r)
     conn = _connected(n, lo, hi)
     if n <= _TABLE_ORDER:
-        return conn, _level_table(n)[lo:hi]
+        return conn, table[lo:hi]
     where = np.flatnonzero(conn)
     level = np.zeros(conn.size, dtype=np.uint8)
     level[where] = _levels(n, where + lo)

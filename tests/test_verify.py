@@ -174,11 +174,10 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
 
 
 def test_level_table_matches_cut_oracle():
-    # the recursion on cut size, built at the t = 1 cap, against every
-    # cut one at a time: every connected mask up to order 6, then a
-    # seeded sample of order 7, whose 32 blocks check the top-down
-    # in-place update; the check against the unpruned toughness oracle
-    # is in test_toughness.py
+    # the recursion on order, built at the t = 1 cap, against every cut
+    # one at a time: every connected mask up to order 6, then a seeded
+    # sample of order 7, whose 32 blocks check the blocked gather; the
+    # check against the unpruned toughness oracle is in test_toughness.py
     for n in range(1, 7):
         cmasks = np.flatnonzero(_comps_table(n) == 1)
         table = _level_table(n)
@@ -189,10 +188,10 @@ def test_level_table_matches_cut_oracle():
 
 
 def test_level_table_matches_recursion_oracle():
-    # the build gathers runs of 2^(v-1) masks a block at a time; the
-    # oracle gathers mask by mask over the whole table, so a wrong run
-    # width or offset shows as a differing byte.  The oracle runs every
-    # cut size: those above the built cap add nothing.
+    # the build recurses on order, split at vertex 0; the oracle is the
+    # plain recursion on cut size, mask by mask over the whole table, so
+    # a term missed or a cap off shows as a differing byte.  The oracle
+    # runs every cut size: those above the built cap add nothing.
     for r in range(1, 8):
         for deleted in (0, 1):
             *_, ref = recursion_levels(r, deleted)
@@ -680,7 +679,7 @@ def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, 
         near = label & ((1 << 7) - 1)
         table[(label >> 7) | int(_star(8)[near])] = 2
     monkeypatch.setattr(toughcert.verify, "_comps_table", lambda r: table if r == 7 else real(r))
-    # a level table built from the patched counts goes with the test
+    # level tables built while the counts are patched stay with the test
     fresh = lru_cache(maxsize=None)(_level_table.__wrapped__)
     monkeypatch.setattr(toughcert.verify, "_level_table", fresh)
     with pytest.raises(AssertionError, match="sharpness labeling was not scanned"):
@@ -713,12 +712,21 @@ def test_verify_theorem_order_7_report_bytes(t):
 def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts):
     # one level table per order and process, built at the t = 1 cut cap:
     # every t reads it, whichever comes first, and the report bytes do
-    # not depend on the order the t values come in
+    # not depend on the order the t values come in.  The recursion on
+    # order builds the lower tables it reads on the way, each once, and
+    # the order-8 table (7, 1) is not among them.  Every order of t
+    # builds the list that the empty-range warm-up builds.
+    warmed = _record_table_builds(monkeypatch)
+    _scan_tables(7, 0, 0)
+    monkeypatch.undo()
     built = _record_table_builds(monkeypatch)
     for t in ts:
         text = "".join(line + "\n" for line in report_lines(verify_theorem(7, t)))
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t], t
-    assert [b for b in built if b[0] == "levels"] == [("levels", 7, 0)]
+    assert built.count(("levels", 7, 0)) == 1
+    assert ("levels", 7, 1) not in built
+    assert len(set(built)) == len(built)
+    assert built == warmed
 
 
 def test_verify_theorem_order_7_report_bytes_with_large_chunks():
