@@ -122,9 +122,11 @@ def _root_side(coeffs: tuple[float, ...]):
 
 
 def _check_t_n(t: int, n: int) -> None:
-    if not isinstance(t, int) or t < 1:
+    # bool is an int, and True == 1 with the same hash would share 1's
+    # memo entry
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
-    if not isinstance(n, int) or n < t + 2:
+    if isinstance(n, bool) or not isinstance(n, int) or n < t + 2:
         raise DomainError(f"order n must be an integer >= t + 2 = {t + 2}")
 
 
@@ -171,11 +173,11 @@ def _threshold(t: int, n: int) -> ThresholdResult:
 def quotient_cubic(s: int, t: int, n: int) -> Cubic:
     """Characteristic cubic of the 3x3 quotient of
     K_s v (K_{n-ts-s} u tsK1) under its three orbit blocks."""
-    if not isinstance(s, int) or s < 1:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
         raise DomainError("s must be a positive integer")
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
-    if not isinstance(n, int) or n < t * s + s + 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < t * s + s + 1:
         raise DomainError(f"order n must be an integer >= ts + s + 1 = {t*s + s + 1}")
     return Cubic(
         1.0,
@@ -188,9 +190,9 @@ def quotient_cubic(s: int, t: int, n: int) -> Cubic:
 def complete_split_radius(s: int, t: int) -> float:
     """Largest adjacency eigenvalue of K_s v (ts+1)K1 in closed form:
     the positive root of x^2 - (s-1)x - s(ts+1)."""
-    if not isinstance(s, int) or s < 1:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
         raise DomainError("s must be a positive integer")
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise DomainError("t must be a positive integer")
     disc = (4 * t + 1) * s * s + 2 * s + 1
     return (s - 1 + math.sqrt(disc)) / 2.0

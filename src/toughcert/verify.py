@@ -4,28 +4,25 @@
 reports a verdict.  ``verify_theorem`` checks the condition against
 every connected labeled graph of a small order by exhaustive scan:
 graphs are integers (one bit per vertex pair), never decoded, and
-component counts come from one precomputed table indexed by edge mask,
-applied to whole mask ranges at once.  The component tables, and
-connectivity at order 8, come from one contraction identity: an order-r
-mask is N | sub << (r - 1), with N vertex 0's neighbour set and sub the
-mask of G - 0, and contracting vertex 0 into its lowest neighbour keeps
-the count, so c_r(mask) = c_{r-1}(sub | star[N]) + (N == 0).
-The cuts S give each graph one toughness level, the largest
+component counts come from precomputed tables indexed by edge mask,
+applied to whole mask ranges at once.  Every count and level comes from
+one split at vertex 0: an order-r mask is N | sub << (r - 1), with N
+vertex 0's neighbour set and sub the mask of G - 0, so the masks of one
+sub form a row with one column per N.  A clique on N joins N into one
+component as vertex 0 does, so c_r(mask) = c_{r-1}(sub | clique[N]) +
+(N == 0).  The cuts S give each graph one toughness level, the largest
 floor((c(G - S) - 1) / |S|): the graph fails 1/t-toughness iff its level
-is at least t.  The level table splits at vertex 0 the same way: cuts
-that hold vertex 0 read the order-(r - 1) level table, with one more
-vertex deleted, at sub; cuts that leave it a neighbour read that table
-at sub | clique[N]; and cuts that hold all of N, isolating vertex 0,
-read the order-(r - 1) component table.
-The levels of every mask of order min(n, 7) sit in one table per
-process, built once for cuts of up to (n - 1) // 2 vertices: larger
-cuts read level 0, so the table answers every t.  At order 8 the table
-is built with one vertex of every cut deleted beforehand, read at the
-order-7 mask of G - v for each vertex v, and the largest of the eight
-readings kept.  A scan chunk is
-a contiguous mask range, whose connectivity and levels one reader gives
-as table slices up to order 7, and at order 8 by the contraction and
-the G - v readings of the connected masks.  It lists only the masks of
+is at least t.  Cuts that hold vertex 0 read the order-(r - 1) level
+table, with one more vertex deleted, at sub; cuts that leave it a
+neighbour read that table at sub | clique[N]; and cuts that hold all of
+N, isolating vertex 0, read the order-(r - 1) component table.
+One reader per quantity applies the split to a set of rows.  Up to
+order 7 the readers build one table per order and process over every
+row, the level table for cuts of up to (n - 1) // 2 vertices: larger
+cuts read level 0, so the table answers every t.  A scan chunk is a
+contiguous mask range: up to order 7 its connectivity and levels are
+table slices, and at order 8 the readers run over the rows that cover
+it, reading the order-7 tables.  It lists only the masks of
 the graphs that fail toughness.  The sharpness examples are not
 searched for: the masks of all their labelings are built once per
 (n, t) from the pairs each vertex avoids and located among those
@@ -233,7 +230,7 @@ def certify(
     strict parsing accepts one encoding per graph, so it equals
     ``to_graph6(g)``, which is computed only when it is omitted.
     """
-    if not isinstance(t, int) or t < 1:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
         raise HypothesisError("t must be a positive integer")
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
@@ -328,32 +325,21 @@ def write_report(summary: VerificationSummary, stream) -> None:
 # entries (2 MB) each at order 7, where order 8 would need 2^28
 # (256 MB).  Every mask pass (the tables, the scan's default chunk,
 # enumeration) takes _TABLE_BLOCK masks at a time, which keeps each
-# int64 temporary at 512 KB.  A level build also holds one uint8 term
-# per neighbour set of vertex 0 and order-(r - 1) mask: 2 MB at order 7.
+# int64 temporary at 512 KB.  A level read also holds one uint8 term
+# per neighbour set of vertex 0 and row: 2 MB for the order-7 table.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
-# the scan contracts or deletes at most one vertex before its lookup
+# above the table order the scan splits off vertex 0 once and reads the
+# order-7 tables, so order 8 is the largest it can reach
 assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
-
-
-@lru_cache(maxsize=None)
-def _star(r: int) -> np.ndarray:
-    """Contraction pairs at order ``r``, indexed by vertex 0's neighbour
-    set N (the low r - 1 bits of an edge mask, bit k for vertex k + 1):
-    the edge mask, at order r - 1 with labels shifted down by one, of
-    the pairs joining N's lowest member to its other members."""
-    near = np.arange(1 << (r - 1), dtype=np.int64)
-    out = np.zeros(near.size, dtype=np.int64)
-    for e, (a, b) in enumerate(_edge_order(r - 1)):
-        lowest_a = (near & ((2 << a) - 1)) == (1 << a)
-        out |= (lowest_a & (near >> b) & 1) << e
-    return out
 
 
 @lru_cache(maxsize=None)
 def _clique(r: int) -> np.ndarray:
     """The pairs joining two members of vertex 0's neighbour set N at
-    order ``r``, as an order-(r - 1) edge mask indexed as in ``_star``."""
+    order ``r``, indexed by N (the low r - 1 bits of an edge mask, bit k
+    for vertex k + 1): an edge mask at order r - 1, labels shifted down
+    by one."""
     near = np.arange(1 << (r - 1), dtype=np.int64)
     out = np.zeros(near.size, dtype=np.int64)
     for e, (a, b) in enumerate(_edge_order(r - 1)):
@@ -361,38 +347,32 @@ def _clique(r: int) -> np.ndarray:
     return out
 
 
-def _contract(r: int, masks: np.ndarray) -> np.ndarray:
-    """Component counts of the order-``r`` graphs with int64 edge
-    ``masks``, read one order down.  In lex pair order a mask is
-    N | sub << (r - 1): N is vertex 0's neighbour set and sub the mask
-    of G - 0.  Contracting vertex 0 into its lowest neighbour keeps the
-    count, and an isolated vertex 0 adds one, so
-    c_r(mask) = c_{r-1}(sub | _star(r)[N]) + (N == 0)."""
-    near = masks & ((1 << (r - 1)) - 1)
-    return _comps_table(r - 1)[(masks >> (r - 1)) | _star(r)[near]] + (near == 0)
+def _comps_rows(r: int, rows: np.ndarray) -> np.ndarray:
+    """Component counts (uint8) of the order-``r`` graphs with edge masks
+    N | sub << (r - 1), for sub in the int64 order-(r - 1) masks ``rows``
+    and every neighbour set N of vertex 0, one row per sub.  Vertex 0
+    joins N into one component, as a clique on N does, and an isolated
+    vertex 0 adds one: c_r = c_{r-1}(sub | clique[N]) + (N == 0).  The
+    lower table is read _TABLE_BLOCK masks at a time."""
+    clique = _clique(r)
+    lower = _comps_table(r - 1)
+    out = np.empty((rows.size, clique.size), dtype=np.uint8)
+    step = _TABLE_BLOCK // clique.size
+    for k in range(0, rows.size, step):
+        np.take(lower, rows[k:k + step, None] | clique, out=out[k:k + step])
+    out[:, 0] += 1
+    return out
 
 
 @lru_cache(maxsize=None)
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
-    by edge mask.  uint8, built once per process by the contraction
-    identity from the table of order r - 1, down to c_1 = [1].  A block
-    of masks is a block of rows sub, each followed by every neighbour
-    set N of vertex 0, so it is one read of the lower table at
-    sub | star[N], plus one in the column N = 0."""
-    total = 1 << (r * (r - 1) // 2)
-    out = np.ones(total, dtype=np.uint8)
-    if r > 1:
-        lower = _comps_table(r - 1)
-        star = _star(r)
-        width = star.size
-        for lo in range(0, total, _TABLE_BLOCK):
-            hi = min(lo + _TABLE_BLOCK, total)
-            rows = np.arange(lo // width, hi // width, dtype=np.int64)
-            block = out[lo:hi].reshape(-1, width)
-            np.take(lower, rows[:, None] | star, out=block)
-            block[:, 0] += 1
-    return out
+    by edge mask: ``_comps_rows`` over every row, down to c_1 = [1].
+    uint8, built once per process."""
+    if r == 1:
+        return np.ones(1, dtype=np.uint8)
+    rows = np.arange(1 << ((r - 1) * (r - 2) // 2), dtype=np.int64)
+    return _comps_rows(r, rows).reshape(-1)
 
 
 # the level build and the degree counts ask for one vertex at a time
@@ -403,32 +383,59 @@ def _pairs_avoiding(r: int, v: int) -> int:
     return sum(1 << e for e, pair in enumerate(_edge_order(r)) if v not in pair)
 
 
+# an order-8 chunk reads the three order-7 terms (6 MB) at a few rows,
+# so they are kept rather than recomputed per chunk
 @lru_cache(maxsize=None)
-def _runs_avoiding(n: int, v: int) -> tuple[tuple[int, int, int], ...]:
-    """The pairs of order ``n`` that avoid vertex ``v``, as runs
-    (first bit, first bit at order n - 1, length).  Lex order keeps
-    their order after v is deleted and the labels above it shift down.
-    The pairs meeting v are v single bits, (u, v) for u < v, and one
-    run, (v, w) for w > v, so the rest fall into at most v + 2 runs."""
-    runs: list[list[int]] = []
-    kept = 0
-    for e, (a, b) in enumerate(_edge_order(n)):
-        if v in (a, b):
-            continue
-        if runs and runs[-1][0] + runs[-1][2] == e:
-            runs[-1][2] += 1
-        else:
-            runs.append([e, kept, 1])
-        kept += 1
-    return tuple(tuple(run) for run in runs)
+def _isolation_term(r: int, size: int, deleted: int) -> np.ndarray:
+    """floor((c - ``size``) / (``size`` + ``deleted``)) for every entry c
+    of the order-``r`` component table (uint8; read only at masks that
+    isolate ``size`` vertices, so c >= ``size``)."""
+    return (_comps_table(r) - size) // (size + deleted)
 
 
-def _delete(n: int, masks: np.ndarray, v: int) -> np.ndarray:
-    """Edge masks at order n - 1 of G - ``v`` for the order-``n`` graphs
-    with int64 edge ``masks``: one shift and mask per run of kept pairs."""
-    out = np.zeros(masks.size, dtype=np.int64)
-    for src, dst, length in _runs_avoiding(n, v):
-        out |= (masks & (((1 << length) - 1) << src)) >> (src - dst)
+def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
+    """Toughness levels (uint8) of the order-``r`` masks
+    N | sub << (r - 1), for sub in the int64 order-(r - 1) masks ``rows``
+    and every neighbour set N of vertex 0, one row per sub, counted as
+    ``_level_table(r, deleted)`` counts them.
+
+    A cut S is one of three kinds.  A cut that holds vertex 0 is a cut
+    of sub with one more vertex deleted, under the same n and cap:
+    L(r - 1, d + 1)[sub].  A cut that misses vertex 0 and leaves it a
+    neighbour joins the rest of N into one component, as a clique on N
+    does whatever the cut removes (a star would not, as the cut may hold
+    its centre): L(r - 1, d)[sub | clique[N]].  That table caps cuts at
+    (n - 2) // 2, but a larger cut leaves sub at most |S| components,
+    level 0 either way.  Cuts that hold all of N read one component
+    short there and are the third kind: vertex 0 is isolated, so the
+    level is floor(c(sub - S) / (|S| + d)) over the cuts S >= N of sub,
+    with c(sub - S) = c_{r-1}(sub & avoid(S)) - |S|.  That is one term
+    per S over every row, then a largest-superset pass, one vertex at a
+    time, in the layout (N, sub), which transposed starts the rows."""
+    width = 1 << (r - 1)
+    cap = (r + deleted - 1) // 2
+    # no cut of 1..cap vertices holds every deleted one: level 0 (order 1)
+    if cap < max(deleted, 1):
+        return np.zeros((rows.size, width), dtype=np.uint8)
+    avoid = np.array([_pairs_avoiding(r - 1, v) for v in range(r - 1)], dtype=np.int64)
+    isolating = np.zeros((width, rows.size), dtype=np.uint8)
+    for size in range(max(1 - deleted, 0), cap - deleted + 1):
+        term = _isolation_term(r - 1, size, deleted)
+        for cut in combinations(range(r - 1), size):
+            kept = np.bitwise_and.reduce(avoid[list(cut)], initial=-1)
+            np.take(term, rows & kept, out=isolating[sum(1 << v for v in cut)])
+    for v in range(r - 1):
+        pairs = isolating.reshape(width >> (v + 1), 2, 1 << v, rows.size)
+        np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    out = isolating.T.copy()
+    lower = _level_table(r - 1, deleted)
+    inner = _level_table(r - 1, deleted + 1)
+    clique = _clique(r)
+    step = _TABLE_BLOCK // width
+    for k in range(0, rows.size, step):
+        block = out[k:k + step]
+        np.maximum(block, np.take(lower, rows[k:k + step, None] | clique), out=block)
+        np.maximum(block, inner[rows[k:k + step], None], out=block)
     return out
 
 
@@ -443,90 +450,45 @@ def _level_table(r: int, deleted: int = 0) -> np.ndarray:
     least t.  Since c(G - S) <= n - |S|, a cut of more than
     cap = (n - 1) // 2 vertices reads level 0, so cuts of 1..cap vertices
     (the t = 1 cap) give every level exactly and the one table answers
-    every t.  The scan reads ``deleted`` 0, or 1 at order 8, and the
-    recursion larger values; each table is built once per process.
-
-    The recursion on order splits at vertex 0 as ``_comps_table`` does:
-    a mask is N | sub << (r - 1), and L(r, d) is the largest of three
-    terms.  A cut that holds vertex 0 is a cut of sub with one more
-    vertex deleted, under the same n and cap: L(r - 1, d + 1)[sub].  A
-    cut that misses vertex 0 and leaves it a neighbour joins the rest of
-    N into one component, as a clique on N does whatever the cut removes
-    (a star would not, as the cut may hold its centre):
-    L(r - 1, d)[sub | clique[N]].  That table caps cuts at (n - 2) // 2,
-    but a larger cut leaves sub at most |S| components, level 0 either
-    way.  Cuts that hold all of N read one component short there and are
-    the third term: vertex 0 is isolated, so the level is
-    floor(c(sub - S) / (|S| + d)) over the cuts S >= N of sub, with
-    c(sub - S) = c_{r-1}(sub & avoid(S)) - |S|.  It is one term per S
-    over every sub, then a largest-superset pass, one vertex at a time,
-    in the layout (N, sub), which transposed starts the table."""
-    total = 1 << (r * (r - 1) // 2)
-    cap = (r + deleted - 1) // 2
-    # no cut of 1..cap vertices holds every deleted one: level 0 (order 1)
-    if cap < max(deleted, 1):
-        return np.zeros(total, dtype=np.uint8)
-    width = 1 << (r - 1)
-    rows = np.arange(total // width, dtype=np.int64)
-    avoid = np.array([_pairs_avoiding(r - 1, v) for v in range(r - 1)], dtype=np.int64)
-    isolating = np.zeros((width, rows.size), dtype=np.uint8)
-    for size in range(max(1 - deleted, 0), cap - deleted + 1):
-        term = (_comps_table(r - 1) - size) // (size + deleted)
-        for cut in combinations(range(r - 1), size):
-            kept = np.bitwise_and.reduce(avoid[list(cut)], initial=-1)
-            np.take(term, rows & kept, out=isolating[sum(1 << v for v in cut)])
-    for v in range(r - 1):
-        pairs = isolating.reshape(-1, 2, 1 << v, rows.size)
-        np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
-    out = isolating.T.copy().reshape(-1)
-    lower = _level_table(r - 1, deleted)
-    inner = _level_table(r - 1, deleted + 1)
-    clique = _clique(r)
-    for lo in range(0, total, _TABLE_BLOCK):
-        part = slice(lo // width, min(lo + _TABLE_BLOCK, total) // width)
-        block = out[lo:lo + _TABLE_BLOCK].reshape(-1, width)
-        np.maximum(block, np.take(lower, rows[part, None] | clique), out=block)
-        np.maximum(block, inner[part, None], out=block)
-    return out
+    every t.  The scan reads ``deleted`` 0 up to order 7; the order-8
+    rows and the recursion read the tables one order down, with one
+    more vertex deleted too.  ``_level_rows`` over every row, built once
+    per process."""
+    rows = np.arange(1 << ((r - 1) * (r - 2) // 2), dtype=np.int64)
+    return _level_rows(r, deleted, rows).reshape(-1)
 
 
-def _levels(n: int, masks: np.ndarray) -> np.ndarray:
-    """Toughness levels (uint8) of the graphs of order
-    n = _TABLE_ORDER + 1 with int64 edge ``masks``.  Every cut holds
-    some vertex v, so the level is the largest over v of the order-7
-    level table that counts v in every cut, read at the mask of G - v.
-    Up to the table order the scan reads the level table itself."""
-    table = _level_table(n - 1, 1)
-    level = np.zeros(masks.size, dtype=np.uint8)
-    for v in range(n):
-        np.maximum(level, table[_delete(n, masks, v)], out=level)
-    return level
+def _span(n: int, lo: int, hi: int) -> tuple[np.ndarray, slice]:
+    """The rows sub of the order-``n`` edge masks N | sub << (n - 1) in
+    [lo, hi), as int64, and where [lo, hi) lies in those rows read
+    flat."""
+    first = lo >> (n - 1)
+    start = first << (n - 1)
+    return np.arange(first, -(-hi >> (n - 1)), dtype=np.int64), slice(lo - start, hi - start)
 
 
 def _connected(n: int, lo: int, hi: int) -> np.ndarray:
     """Whether each order-``n`` graph with edge mask in [lo, hi) is
     connected: a slice of the component table up to the table order,
-    the contraction of vertex 0 above it."""
+    of the component rows that cover the range above it."""
     if n <= _TABLE_ORDER:
         return _comps_table(n)[lo:hi] == 1
-    return _contract(n, np.arange(lo, hi, dtype=np.int64)) == 1
+    rows, part = _span(n, lo, hi)
+    return _comps_rows(n, rows).reshape(-1)[part] == 1
 
 
 def _scan_tables(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(conn, level) over the order-``n`` edge masks [lo, hi): whether
-    each graph is connected, and its toughness level (0 where
-    disconnected above the table order).  An empty range builds exactly
+    each graph is connected, and its toughness level, read as
+    ``_connected`` reads connectivity.  An empty range builds exactly
     the tables that a range reads."""
     # the level build reads no component table of its order: it goes first
-    r = min(n, _TABLE_ORDER)
-    table = _level_table(r, n - r)
-    conn = _connected(n, lo, hi)
     if n <= _TABLE_ORDER:
-        return conn, table[lo:hi]
-    where = np.flatnonzero(conn)
-    level = np.zeros(conn.size, dtype=np.uint8)
-    level[where] = _levels(n, where + lo)
-    return conn, level
+        level = _level_table(n)[lo:hi]
+    else:
+        rows, part = _span(n, lo, hi)
+        level = _level_rows(n, 0, rows).reshape(-1)[part]
+    return _connected(n, lo, hi), level
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:

@@ -14,10 +14,9 @@ whole masks, the graph6 codec works on a flat list of bits, and
 ``cubic_sign`` evaluates a cubic in Fractions.
 ``cut_levels`` is the exception: it reads the package's component
 table (checked against ``brute_components`` on its own), but scans one
-cut at a time where the package recurses on cut size.
-``recursion_levels`` reads that table too and runs the package's
-recursion, but over the whole table one mask at a time, where the
-package gathers runs of masks block by block.
+cut at a time where the package splits at vertex 0.
+``recursion_levels`` reads that table too and recurses on cut size over
+the whole table, where the package recurses on order, row by row.
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:
 
 def recursion_levels(r: int, deleted: int):
     """Yield the level tables (uint8, every mask of order ``r``) for cuts
-    of up to cap = 0, 1, ..., r - 1 vertices in turn, by the recursion on
-    cut size that ``_level_table(r, deleted)`` runs, done the plain way:
+    of up to cap = 0, 1, ..., r - 1 vertices in turn, by a recursion on
+    cut size (the package recurses on order), done the plain way:
     T_k[mask] = max over v of T_{k-1}[mask & avoid(v)], one gather per
     vertex over the whole table into a fresh array, no blocks and no
     runs."""

@@ -21,6 +21,7 @@ from toughcert import (
     threshold,
     threshold_cubic,
 )
+from toughcert.thresholds import _threshold
 
 from oracles import cubic_roots, cubic_sign, eig_radius
 
@@ -175,6 +176,24 @@ def test_threshold_memo_shares_results_and_keeps_domain_errors():
     for t, n in ((0, 5), (2, 3), (1.0, 5), (1, 5.0), ([1], 5), (1, [5]), ({}, {})):
         with pytest.raises(DomainError):
             threshold(t, n)
+
+
+def test_bool_arguments_are_rejected_and_leave_the_memo_alone():
+    # True == 1 with the same hash: an accepted threshold(True, 5) would
+    # be memoised under threshold(1, 5)'s key and returned for it
+    _threshold.cache_clear()
+    for call in (
+        lambda: threshold(True, 5),
+        lambda: threshold(2, True),
+        lambda: quotient_cubic(True, 1, 5),
+        lambda: quotient_cubic(1, True, 5),
+        lambda: quotient_cubic(1, 1, True),
+        lambda: complete_split_radius(True, 1),
+        lambda: complete_split_radius(1, True),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert type(threshold(1, 5).t) is int
 
 
 def test_threshold_start_bracket_is_exact():

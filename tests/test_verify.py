@@ -36,18 +36,16 @@ from toughcert.verify import (
     VERDICT_TOUGH,
     _TABLE_BLOCK,
     _adjacency_stack,
+    _clique,
+    _comps_rows,
     _comps_table,
-    _contract,
-    _delete,
-    _delete_vertex,
     _extremal_masks,
+    _isolation_term,
+    _level_rows,
     _level_table,
-    _levels,
     _partitions_desc,
-    _runs_avoiding,
     _scan_chunk,
     _scan_tables,
-    _star,
     enumerate_connected,
     graph_from_mask,
     mask_of_graph,
@@ -121,7 +119,7 @@ def test_comps_table_blocks_match_component_oracle():
 
 def test_comps_table_matches_contraction_of_every_mask():
     # the table reads each block as rows of sub by columns of N; the
-    # reference contracts vertex 0 mask by mask, one block at a time,
+    # reference joins N by a clique mask by mask, one block at a time,
     # from a c_1 = [1] of its own
     ref = np.ones(1, dtype=np.uint8)
     for r in range(2, 8):
@@ -130,22 +128,30 @@ def test_comps_table_matches_contraction_of_every_mask():
         for lo in range(0, total, _TABLE_BLOCK):
             masks = np.arange(lo, min(lo + _TABLE_BLOCK, total), dtype=np.int64)
             near = masks & ((1 << (r - 1)) - 1)
-            ref[lo:lo + masks.size] = lower[(masks >> (r - 1)) | _star(r)[near]] + (near == 0)
+            ref[lo:lo + masks.size] = lower[(masks >> (r - 1)) | _clique(r)[near]] + (near == 0)
         assert np.array_equal(_comps_table(r), ref), r
 
 
+def _order_8_rows(seed: int) -> np.ndarray:
+    """Rows sub of 128 order-8 masks N | sub << 7 each: the first row
+    (mask 0), the last (the complete graph) and 118 seeded ones."""
+    sample = np.random.default_rng(seed).integers(0, 1 << 21, 118)
+    return np.concatenate([[0, (1 << 21) - 1], sample])
+
+
 def test_counts_contract_order_8_to_the_order_7_table():
-    # order 8 has no table: vertex 0 is contracted into its lowest
-    # neighbour and the order-7 table read
-    rng = random.Random(71)
-    sample = [0, (1 << 28) - 1] + [rng.getrandbits(28) for _ in range(20000)]
-    got = _contract(8, np.array(sample, dtype=np.int64))
-    assert got.dtype == np.uint8
-    for mask, count in zip(sample, got.tolist()):
-        g = graph_from_mask(8, mask)
-        assert count == brute_components(g, set()), mask
-        assert (count == 1) == is_connected(g), mask
-    assert got[0] == 8 and got[1] == 1
+    # order 8 has no table: its component rows read the order-7 table at
+    # sub | clique[N], every mask of a row, connected or not
+    rows = _order_8_rows(71)
+    got = _comps_rows(8, rows)
+    assert got.dtype == np.uint8 and got.shape == (rows.size, 128)
+    for sub, counts in zip(rows.tolist(), got.tolist()):
+        for near, count in enumerate(counts):
+            mask = near | sub << 7
+            g = graph_from_mask(8, mask)
+            assert count == brute_components(g, set()), mask
+            assert (count == 1) == is_connected(g), mask
+    assert got[0, 0] == 8 and got[1, -1] == 1
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
@@ -201,12 +207,14 @@ def test_level_table_matches_recursion_oracle():
 
 
 def test_order_8_levels_match_cut_oracle():
-    # order 8 reads the order-7 table that counts the deleted vertex in
-    # every cut, at the mask of G - v, for each v
-    sample = np.random.default_rng(89).integers(0, 1 << 28, 20_000)
-    level = _levels(8, sample)
-    assert level.dtype == np.uint8
-    assert (level == cut_levels(8, sample, 7)).all()
+    # order 8 has no table: its level rows split at vertex 0 and read the
+    # order-7 tables, every mask of a row, connected or not
+    rows = _order_8_rows(89)
+    level = _level_rows(8, 0, rows)
+    assert level.dtype == np.uint8 and level.shape == (rows.size, 128)
+    masks = (rows[:, None] << 7 | np.arange(128)).reshape(-1)
+    assert not (_comps_rows(8, rows) == 1).all()
+    assert (level.reshape(-1) == cut_levels(8, masks, 7)).all()
 
 
 def test_one_level_table_answers_every_t():
@@ -218,7 +226,8 @@ def test_one_level_table_answers_every_t():
     connected = rng.choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
     for n, sample, level in (
         (7, connected, lambda masks: _level_table(7)[masks]),
-        (8, rng.integers(0, 1 << 28, 20_000), lambda masks: _levels(8, masks)),
+        (8, rng.integers(0, 1 << 28, 20_000), lambda masks: _level_rows(8, 0, masks >> 7)[
+            np.arange(masks.size), masks & 127]),
     ):
         named = [_extremal_masks(n, t) for t in range(1, n - 1)]
         sample = np.concatenate([sample, *named])
@@ -230,21 +239,20 @@ def test_one_level_table_answers_every_t():
 
 
 def test_scan_tables_match_the_per_mask_readers():
-    # order 8: connectivity by the contraction and levels by the G - v
-    # readings, mask by mask, on a mostly disconnected range from mask 0
-    # and an unaligned one inside the last 2^18-mask chunk; disconnected
-    # masks read level 0.  Up to order 7: the plain table slices.
+    # order 8: the rows that cover the range, sliced, against the
+    # oracles mask by mask, on a mostly disconnected range from mask 0
+    # and one inside the last 2^18-mask chunk whose ends are not
+    # multiples of 128.  Up to order 7: the plain table slices.
     for lo in (0, (1023 << 18) + 5000):
         hi = lo + (1 << 12)
         masks = np.arange(lo, hi, dtype=np.int64)
-        ref = _contract(8, masks) == 1
+        ref = np.array([brute_connected(graph_from_mask(8, m)) for m in masks.tolist()])
         if lo == 0:
             assert 0 < np.count_nonzero(ref) < ref.size // 2
         conn, level = _scan_tables(8, lo, hi)
         assert np.array_equal(conn, ref), lo
         assert level.dtype == np.uint8 and level.size == masks.size
-        assert np.array_equal(level[conn], _levels(8, masks[conn])), lo
-        assert not level[~conn].any(), lo
+        assert np.array_equal(level, cut_levels(8, masks, 7)), lo
     for n in (5, 6, 7):
         total = 1 << (n * (n - 1) // 2)
         for lo, hi in ((0, total), (total // 3, total // 3 + 1000)):
@@ -254,11 +262,13 @@ def test_scan_tables_match_the_per_mask_readers():
 
 
 def _record_table_builds(monkeypatch) -> list:
-    """Empty the component and level table caches for the test, and
-    return the list that every later table build is appended to."""
+    """Empty the component table, level table and isolation term caches
+    for the test, and return the list that every later build is appended
+    to."""
     built = []
     build_comps = toughcert.verify._comps_table.__wrapped__
     build_levels = toughcert.verify._level_table.__wrapped__
+    build_terms = toughcert.verify._isolation_term.__wrapped__
 
     # the builds read the tables they start from through the module
     # names, so the whole chain of tables is rebuilt and recorded
@@ -272,8 +282,14 @@ def _record_table_builds(monkeypatch) -> list:
         built.append(("levels", r, deleted))
         return build_levels(r, deleted)
 
+    @lru_cache(maxsize=None)
+    def terms(r, size, deleted):
+        built.append(("terms", r, size, deleted))
+        return build_terms(r, size, deleted)
+
     monkeypatch.setattr(toughcert.verify, "_comps_table", comps)
     monkeypatch.setattr(toughcert.verify, "_level_table", levels)
+    monkeypatch.setattr(toughcert.verify, "_isolation_term", terms)
     return built
 
 
@@ -282,22 +298,10 @@ def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeyp
     # order 5, so here an order-8 chunk after it must build no table
     built = _record_table_builds(monkeypatch)
     _scan_tables(8, 0, 0)
-    assert ("comps", 7) in built and ("levels", 7, 1) in built
+    assert {("comps", 7), ("levels", 7, 0), ("levels", 7, 1), ("terms", 7, 3, 0)} <= set(built)
     warmed = list(built)
     _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), threshold(2, 8).value, 1e-9, 1e-9, True))
     assert built == warmed
-
-
-def test_delete_matches_vertex_deletion():
-    rng = random.Random(97)
-    for n in range(2, 9):
-        masks = [rng.getrandbits(n * (n - 1) // 2) for _ in range(50)]
-        for v in range(n):
-            assert len(_runs_avoiding(n, v)) <= v + 2
-            got = _delete(n, np.array(masks, dtype=np.int64), v).tolist()
-            assert got == [
-                mask_of_graph(_delete_vertex(graph_from_mask(n, m), v)) for m in masks
-            ], (n, v)
 
 
 def test_adjacency_stack_matches_graph_matrices():
@@ -438,6 +442,8 @@ def test_certify_hypothesis_errors():
         certify(complete(2), 1)  # order below t + 2
     with pytest.raises(HypothesisError):
         certify(complete(4), 0)
+    with pytest.raises(HypothesisError):
+        certify(complete(4), True)
 
 
 def test_certify_checks_connectivity_once(monkeypatch):
@@ -618,13 +624,14 @@ def test_extremal_masks_match_the_pairwise_enumeration():
 
 def test_order_7_scan_reads_tables_as_slices(monkeypatch):
     # up to the table order a chunk is a slice of the component and
-    # level tables, and so is an enumeration block: no per-mask count or
-    # level lookup
+    # level tables, and so is an enumeration block: once the tables are
+    # built, no row reader runs
     def refuse(*args):
-        raise AssertionError("table read through an index array")
+        raise AssertionError("table read through the row readers")
 
-    monkeypatch.setattr(toughcert.verify, "_contract", refuse)
-    monkeypatch.setattr(toughcert.verify, "_levels", refuse)
+    _scan_tables(7, 0, 0)
+    monkeypatch.setattr(toughcert.verify, "_comps_rows", refuse)
+    monkeypatch.setattr(toughcert.verify, "_level_rows", refuse)
     text = "".join(line + "\n" for line in report_lines(verify_theorem(7, 2)))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
     assert verify_theorem(5, 1, log_curiosities=True, chunk_size=100).ok
@@ -643,19 +650,23 @@ def _sharpness_chunk(n: int, t: int):
 def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n):
     # a labeling missing from the violated masks came out tough: with
     # its level patched below t it is one extremal-tough failure and one
-    # fewer exceptional graph.  Order 8 reads the level of G - v for
-    # every v, so all eight readings are patched.
+    # fewer exceptional graph.  Order 8 has no table, so its level rows
+    # are patched.
     label, args = _sharpness_chunk(n, 2)
     before = _scan_chunk(args)
     assert label in before["exceptional_masks"] and not before["failures"]
-    r = min(n, 7)
-    table = _level_table(r, n - r).copy()
     if n == 7:
+        table = _level_table(7).copy()
         table[label] = 0
+        monkeypatch.setattr(toughcert.verify, "_level_table", lambda *key: table)
     else:
-        for v in range(n):
-            table[_delete(n, np.array([label]), v)] = 0
-    monkeypatch.setattr(toughcert.verify, "_level_table", lambda *key: table)
+        def reading_tough(r, deleted, rows):
+            out = _level_rows(r, deleted, rows)
+            if r == 8:
+                out[rows == label >> 7, label & 127] = 0
+            return out
+
+        monkeypatch.setattr(toughcert.verify, "_level_rows", reading_tough)
     after = _scan_chunk(args)
     assert [(f["kind"], f["graph6"]) for f in after["failures"]] == [
         ("extremal-tough", to_graph6(graph_from_mask(n, label)))
@@ -669,7 +680,7 @@ def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n
 def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, n):
     # every labeling is connected, so a tough reading can only mean the
     # example came out tough if the labeling was scanned at all; order 8
-    # reads connectivity through the contraction of vertex 0
+    # reads connectivity from the order-7 table at sub | clique[N]
     label, args = _sharpness_chunk(n, 2)
     real = _comps_table
     table = real(7).copy()
@@ -677,18 +688,19 @@ def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, 
         table[label] = 2
     else:
         near = label & ((1 << 7) - 1)
-        table[(label >> 7) | int(_star(8)[near])] = 2
+        table[(label >> 7) | int(_clique(8)[near])] = 2
     monkeypatch.setattr(toughcert.verify, "_comps_table", lambda r: table if r == 7 else real(r))
-    # level tables built while the counts are patched stay with the test
-    fresh = lru_cache(maxsize=None)(_level_table.__wrapped__)
-    monkeypatch.setattr(toughcert.verify, "_level_table", fresh)
+    # level tables and terms built while the counts are patched stay
+    # with the test
+    for name, cached in (("_level_table", _level_table), ("_isolation_term", _isolation_term)):
+        monkeypatch.setattr(toughcert.verify, name, lru_cache(maxsize=None)(cached.__wrapped__))
     with pytest.raises(AssertionError, match="sharpness labeling was not scanned"):
         _scan_chunk(args)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_scan_chunk_order_8_counts_match_predicate(t):
-    # order 8 deletes each cut's lowest vertex before the order-7 lookup
+    # order 8 reads the order-7 tables through the vertex-0 split
     eta = threshold(t, 8).value
     tough = not_tough = 0
     for lo in (0, 1 << 27, (1 << 28) - (1 << 12)):
@@ -748,8 +760,9 @@ def test_verify_theorem_deterministic_reports():
 
 
 def test_verify_theorem_guards():
-    with pytest.raises(DomainError, match="t must be a positive integer"):
-        verify_theorem(4, 0)
+    for t in (0, True):
+        with pytest.raises(DomainError, match="t must be a positive integer"):
+            verify_theorem(4, t)
     with pytest.raises(DomainError, match=r"order n must be an integer >= t \+ 2 = 4"):
         verify_theorem(3, 2)  # n below t + 2
     with pytest.raises(SizeLimitError):
