@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, Graph6ParseError, SizeLimitError
@@ -230,6 +231,9 @@ def _cmd_verify_lemmas(args) -> int:
     return 1 if failed else 0
 
 
+# parse_args reads a parser without changing it, so one per process
+# serves every call
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toughcert",

@@ -31,8 +31,13 @@ popcounts of those masks (and, for curiosities, of the tough ones), and
 degrees are counted only for the graphs the edge count leaves
 undecided.  The spectral side only solves eigenproblems for graphs
 whose cheap degree/edge bounds cannot already separate them from the
-threshold, in one batched call on adjacency matrices read from the mask
-bits.
+threshold, in one batched call.  The scan builds no ``Graph``: one pair
+table per order sends each mask bit to its two adjacency cells and to
+its graph6 position, so the eigensolves' matrices and the graph6 strings
+of the listed graphs both come straight from the mask bits, the strings
+through the encoder ``to_graph6`` uses.  What does not depend on the
+chunk (the pair table, the bound tables of each band, the masks of the
+pairs at each vertex) is built once per process.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -53,7 +58,6 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -61,6 +65,8 @@ from .errors import DomainError, HypothesisError, SizeLimitError
 from .graphs import (
     Graph,
     _extremal_core,
+    _graph6_text,
+    _kept,
     from_edges,
     is_connected,
     to_graph6,
@@ -158,7 +164,7 @@ assert _SCAN_HARD_MAX * (_SCAN_HARD_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
 def enumerate_connected(n: int):
     """Yield every connected labeled graph of order ``n`` in increasing
     edge-mask order.  Guarded at order 8 (2^28 masks)."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError("order must be a positive integer")
     if n > _SCAN_HARD_MAX:
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
@@ -491,16 +497,72 @@ def _scan_tables(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return _connected(n, lo, hi), level
 
 
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the bit e of each vertex pair (i, j) in an order-``n`` edge
+    mask (lex pair order, as in ``graph_from_mask``) goes: its graph6 bit
+    position j(j - 1)/2 + i, and its two flat cells i n + j and j n + i
+    of an n x n matrix (a 2 x C(n, 2) array).  Read-only, one per order."""
+    i, j = np.array(_edge_order(n), dtype=np.intp).reshape(-1, 2).T
+    return _kept(j * (j - 1) // 2 + i), _kept(np.stack([i * n + j, j * n + i]))
+
+
+def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """(k, C(n, 2)) 0/1 bits of the int64 edge ``masks``, bit e in column e."""
+    return (masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1
+
+
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
     """(k, n, n) float64 adjacency matrices of the order-``n`` graphs with
-    int64 edge ``masks``, read straight from the mask bits (lex pair
-    order, as in ``graph_from_mask``)."""
-    rows, cols = np.triu_indices(n, 1)
-    bits = (masks[:, None] >> np.arange(rows.size)) & 1
-    out = np.zeros((masks.size, n, n))
-    out[:, rows, cols] = bits
-    out[:, cols, rows] = bits
-    return out
+    int64 edge ``masks``: each mask bit lands in its pair's two cells."""
+    _, cells = _pair_table(n)
+    out = np.zeros((masks.size, n * n))
+    out[:, cells] = _mask_bits(n, masks)[:, None]
+    return out.reshape(-1, n, n)
+
+
+def _graph6_of_masks(n: int, masks: np.ndarray) -> list[str]:
+    """graph6 strings of the order-``n`` graphs with int64 edge ``masks``:
+    the mask bits moved to their graph6 positions and encoded in one
+    call, skipped when there are none."""
+    if not masks.size:
+        return []
+    position, _ = _pair_table(n)
+    bits = np.empty((masks.size, position.size), dtype=np.uint8)
+    bits[:, position] = _mask_bits(n, masks)
+    return _graph6_text(n, bits)
+
+
+@lru_cache(maxsize=None)
+def _incident_pairs(n: int) -> np.ndarray:
+    """(n, 1) int64 edge masks of the pairs at each vertex, order ``n``:
+    a graph's degrees are the popcounts of its mask ANDed with them."""
+    everything = (1 << (n * (n - 1) // 2)) - 1
+    return _kept(np.array([[everything ^ _pairs_avoiding(n, v)] for v in range(n)], dtype=np.int64))
+
+
+@lru_cache(maxsize=64)
+def _bound_tables(n: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the cheap bounds on the largest eigenvalue of an order-``n``
+    graph leave it possibly in [``low``, ``high``], tabulated over the
+    edge count m and over the max degree d: the upper bounds
+    sqrt(2m - n + 1) and d both reach ``low``, and the lower bounds 2m/n
+    and sqrt(d) both stay within ``high``.  A scan asks for two bands per
+    (n, t), so the tables are built once per band, not per chunk."""
+    m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
+    by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
+    d = np.arange(n, dtype=np.float64)
+    by_degree = (d >= low) & (np.sqrt(d) <= high)
+    return _kept(by_edges), _kept(by_degree)
+
+
+def _undecided(n: int, masks: np.ndarray, low: float, high: float = math.inf) -> np.ndarray:
+    """Those of the int64 edge ``masks`` whose cheap bounds leave the
+    largest eigenvalue possibly in [``low``, ``high``] (``_bound_tables``);
+    degrees are counted only for graphs the edge count leaves in."""
+    by_edges, by_degree = _bound_tables(n, low, high)
+    masks = masks[by_edges[np.bitwise_count(masks)]]
+    return masks[by_degree[np.bitwise_count(masks & _incident_pairs(n)).max(axis=0)]]
 
 
 @lru_cache(maxsize=None)
@@ -550,44 +612,19 @@ def _scan_chunk(args) -> dict:
     exceptional = sharp < violated.size
     exceptional[exceptional] = violated[sharp[exceptional]] == named[exceptional]
 
-    everything = (1 << (n * (n - 1) // 2)) - 1
-
-    def degrees(masks) -> np.ndarray:
-        """(n, len(masks)) vertex degrees of the graphs with ``masks``."""
-        return np.vstack([
-            np.bitwise_count(masks & (everything ^ _pairs_avoiding(n, v))) for v in range(n)
-        ])
-
     failures: list[dict] = []
     incidents: list[dict] = []
-    exceptional_g6: list[str] = []
     eigensolves = 0
 
-    # a Graph is built only for the graphs that get a report record or an
-    # exceptional listing; eigenvalues come from the mask bits directly
-    def graph6(mask) -> str:
-        return to_graph6(graph_from_mask(n, int(mask)))
-
+    # no Graph is built: eigenvalues and graph6 strings both come from
+    # the mask bits, the strings in one encoder call per kind of record
+    # that has any (the labelings, the spectral suspects, the curiosities)
     def radii(masks) -> list[float]:
         nonlocal eigensolves
         if not masks.size:
             return []
         eigensolves += masks.size
         return spectral_radii(_adjacency_stack(n, masks)).tolist()
-
-    def undecided(masks, low: float, high: float = math.inf) -> np.ndarray:
-        """Those of ``masks`` whose cheap bounds leave the largest
-        eigenvalue possibly in [low, high]: the upper bounds
-        sqrt(2m - n + 1) and max degree both reach ``low``, and the lower
-        bounds 2m/n and sqrt(max degree) both stay within ``high``.  Each
-        bound is tabulated over its integer argument, and degrees are
-        counted only for graphs the edge count m leaves in."""
-        m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
-        by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
-        masks = masks[by_edges[np.bitwise_count(masks)]]
-        d = np.arange(n, dtype=np.float64)
-        by_degree = (d >= low) & (np.sqrt(d) <= high)
-        return masks[by_degree[degrees(masks).max(axis=0)]]
 
     def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
@@ -601,29 +638,32 @@ def _scan_chunk(args) -> dict:
             rec["lambda1"] = _round12(lam)
         return rec
 
-    for mask, found in zip(named, exceptional):
+    exceptional_g6: list[str] = []
+    for g6, found in zip(_graph6_of_masks(n, named), exceptional):
         if found:
-            exceptional_g6.append(graph6(mask))
+            exceptional_g6.append(g6)
         else:
             failures.append(
-                {**ctx(graph6(mask)), "kind": "extremal-tough",
+                {**ctx(g6), "kind": "extremal-tough",
                  "detail": "sharpness example came out 1/t-tough"}
             )
 
     # spectral side for graphs that fail toughness: the cheap upper
     # bounds rule most of them out without an eigensolve
     suspects = np.delete(violated, sharp[exceptional])
-    needs = undecided(suspects, eta - eps_strict)
+    needs = _undecided(n, suspects, eta - eps_strict)
     bound_skips = suspects.size - needs.size
-    for mask, lam in zip(needs, radii(needs)):
-        if lam > eta + eps_eq:
+    lams = radii(needs)
+    listed = [k for k, lam in enumerate(lams) if lam > eta + eps_eq or lam >= eta - eps_strict]
+    for k, g6 in zip(listed, _graph6_of_masks(n, needs[listed])):
+        if lams[k] > eta + eps_eq:
             failures.append(
-                {**ctx(graph6(mask), lam), "kind": "spectral-bound",
+                {**ctx(g6, lams[k]), "kind": "spectral-bound",
                  "detail": "non-tough non-extremal graph at or above the threshold"}
             )
-        elif lam >= eta - eps_strict:
+        else:
             incidents.append(
-                {**ctx(graph6(mask), lam), "kind": "tolerance-band",
+                {**ctx(g6, lams[k]), "kind": "tolerance-band",
                  "detail": "eigenvalue within the ambiguity band of the threshold"}
             )
 
@@ -635,13 +675,14 @@ def _scan_chunk(args) -> dict:
             )
 
     if log_curiosities:
-        near = undecided(np.flatnonzero(conn & (level < t)) + lo, eta - eps_eq, eta + eps_eq)
-        for mask, lam in zip(near, radii(near)):
-            if abs(lam - eta) <= eps_eq:
-                incidents.append(
-                    {**ctx(graph6(mask), lam), "kind": "equality-curiosity",
-                     "detail": "tough graph with eigenvalue at the threshold"}
-                )
+        near = _undecided(n, np.flatnonzero(conn & (level < t)) + lo, eta - eps_eq, eta + eps_eq)
+        lams = radii(near)
+        listed = [k for k, lam in enumerate(lams) if abs(lam - eta) <= eps_eq]
+        for k, g6 in zip(listed, _graph6_of_masks(n, near[listed])):
+            incidents.append(
+                {**ctx(g6, lams[k]), "kind": "equality-curiosity",
+                 "detail": "tough graph with eigenvalue at the threshold"}
+            )
 
     not_tough = int(violated.size)
     return {
@@ -657,6 +698,15 @@ def _scan_chunk(args) -> dict:
         "failures": failures,
         "incidents": incidents,
     }
+
+
+def get_context(method: str):
+    """``multiprocessing.get_context(method)``, imported on the first
+    pool: a serial scan, and every other command, never loads
+    ``multiprocessing``."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def _usable_cores() -> int:
@@ -787,7 +837,7 @@ def verify_join_maximizer(
     clique parts, the shape (n-s-c+1, 1, ..., 1) uniquely maximizes the
     largest adjacency eigenvalue.  Checks the inequality and that
     near-equality happens only at that shape."""
-    if not (isinstance(n, int) and isinstance(s, int) and isinstance(c, int)):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n, s, c)):
         raise DomainError("n, s, c must be integers")
     if s < 1 or c < 1 or n < s + c:
         raise DomainError("need s >= 1, c >= 1 and n >= s + c")

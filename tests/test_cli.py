@@ -1,7 +1,10 @@
 import importlib.util
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from toughcert import (
     threshold,
     to_graph6,
 )
+import toughcert.cli
 from toughcert.cli import run
 from toughcert.thresholds import build_extremal
 
@@ -380,3 +384,42 @@ def test_verify_lemmas_cli_identities(capsys):
     closing = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert closing["check"] == "threshold-identities"
     assert closing["ok"] is True
+
+
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this tree's
+    package."""
+    src = str(Path(toughcert.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys):
+    # the parser is built once per process; a call after a parse error or
+    # an argparse exit must print and exit as it would in a new process
+    calls = [
+        ["threshold", "--t", "2", "--n", "8"],
+        ["certify", "--t", "1", "@@@"],
+        ["verify-theorem", "--n", "5"],
+        ["verify-theorem", "--n", "5", "--t", "1"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        fresh = _fresh_process("-m", "toughcert", *argv)
+        assert (out, code) == (fresh.stdout, fresh.returncode), argv
+        codes.append(code)
+    assert codes == [0, 2, 2, 0]
+    assert toughcert.cli._build_parser() is toughcert.cli._build_parser()
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # a serial run never forks, so multiprocessing is imported with the
+    # first pool, not with the package
+    probe = "import sys, toughcert.cli; print('multiprocessing' in sys.modules)"
+    assert _fresh_process("-c", probe).stdout.strip() == "False"

@@ -22,6 +22,7 @@ from toughcert import (
     disjoint_union,
     from_edges,
     is_connected,
+    is_extremal,
     is_one_over_t_tough,
     parse_graph6,
     spectral_radius,
@@ -40,6 +41,7 @@ from toughcert.verify import (
     _comps_rows,
     _comps_table,
     _extremal_masks,
+    _graph6_of_masks,
     _isolation_term,
     _level_rows,
     _level_table,
@@ -155,8 +157,8 @@ def test_counts_contract_order_8_to_the_order_7_table():
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
-    # the scan builds a Graph only for what it lists or reports;
-    # eigensolves read their matrices from the mask bits
+    # the scan builds no Graph: graph6 strings and eigensolves both read
+    # the mask bits, and triu_indices is not recomputed per chunk
     built = []
     real = toughcert.verify.graph_from_mask
 
@@ -164,15 +166,17 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
         built.append(mask)
         return real(n, mask)
 
+    def no_triu(*args, **kwargs):
+        raise AssertionError("triu_indices called in a scan chunk")
+
     monkeypatch.setattr(toughcert.verify, "graph_from_mask", counting)
+    monkeypatch.setattr(np, "triu_indices", no_triu)
     eta = threshold(1, 6).value
     res = _scan_chunk((6, 1, 0, 1 << 15, eta, 1e-9, 1e-9, True))
     assert res["connected"] == connected_count(6) == 26704
     assert len(res["exceptional_masks"]) == 30 and res["eigensolves"] == 1475
-    # one build for each of the 30 exceptional labelings, none for the
-    # eigensolves
-    assert len(built) == 30
-    built.clear()
+    assert len(res["exceptional_g6"]) == 30
+    assert not built
     eta = threshold(2, 8).value
     res = _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), eta, 1e-9, 1e-9, True))
     assert res["connected"] > 0
@@ -304,15 +308,53 @@ def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeyp
     assert built == warmed
 
 
+def _random_masks(rng, n, count=300):
+    size = 1 << (n * (n - 1) // 2)
+    return list(range(size)) if n <= 5 else [0, size - 1] + [rng.randrange(size) for _ in range(count)]
+
+
 def test_adjacency_stack_matches_graph_matrices():
     rng = random.Random(79)
     for n in range(1, 9):
-        size = 1 << (n * (n - 1) // 2)
-        masks = list(range(size)) if n <= 5 else [0, size - 1] + [rng.randrange(size) for _ in range(300)]
+        masks = _random_masks(rng, n)
         stack = _adjacency_stack(n, np.array(masks, dtype=np.int64))
         assert stack.shape == (len(masks), n, n) and stack.dtype == np.float64
         for mask, a in zip(masks, stack):
             assert np.array_equal(a, adjacency_matrix(graph_from_mask(n, mask))), (n, mask)
+
+
+def test_graph6_of_masks_matches_the_decoded_path():
+    # the scan's graph6 comes from the mask bits through the pair table;
+    # it equals the Graph path's string and parses back to the same graph
+    rng = random.Random(83)
+    for n in range(1, 9):
+        masks = _random_masks(rng, n)
+        got = _graph6_of_masks(n, np.array(masks, dtype=np.int64))
+        assert len(got) == len(masks)
+        for mask, g6 in zip(masks, got):
+            g = graph_from_mask(n, mask)
+            assert g6 == to_graph6(g), (n, mask)
+            assert parse_graph6(g6) == g, (n, mask)
+        assert _graph6_of_masks(n, np.zeros(0, dtype=np.int64)) == []
+
+
+def test_incident_graph6_equals_the_decoded_path():
+    # with a huge band every non-tough order-5 graph is an incident, so
+    # every record's graph6 comes from the mask path
+    summary = verify_theorem(5, 1, eps_strict=5.0)
+    assert len(summary.incidents) == summary.counts["not_tough"] - summary.counts["exceptional"]
+    graphs = [graph_from_mask(5, mask) for mask in range(1 << 10)]
+    violated = [
+        mask for mask, g in enumerate(graphs)
+        if is_connected(g) and not is_one_over_t_tough(g, 1)[0]
+    ]
+    named = set(summary.extras["exceptional_masks"])
+    assert [rec["graph6"] for rec in summary.incidents] == [
+        to_graph6(graphs[mask]) for mask in violated if mask not in named
+    ]
+    assert summary.extras["exceptional_graph6"] == [
+        to_graph6(graphs[mask]) for mask in summary.extras["exceptional_masks"]
+    ]
 
 
 def test_scan_eigensolves_match_single_graph_solves(monkeypatch):
@@ -870,6 +912,18 @@ def test_verify_join_maximizer():
         assert summary.counts["shapes"] >= 1
     with pytest.raises(DomainError):
         verify_join_maximizer(3, 2, 2)  # no room for two parts
+
+
+def test_bool_order_or_count_is_rejected():
+    # True == 1 passes isinstance(..., int): each entry point checks for
+    # bool itself, as threshold does
+    with pytest.raises(DomainError):
+        is_extremal(build_extremal(1, 4), True)
+    with pytest.raises(DomainError):
+        next(enumerate_connected(True))
+    for n, s, c in ((4, True, 2), (True, 1, 1), (4, 1, True)):
+        with pytest.raises(DomainError):
+            verify_join_maximizer(n, s, c)
 
 
 def test_verify_quotient_embedding():
