@@ -172,7 +172,6 @@ def _cmd_verify_theorem(args) -> int:
                 eps_eq=args.eps_eq,
                 eps_strict=args.eps_strict,
                 log_curiosities=args.curiosities,
-                allow_order_8=args.allow_order_8,
             )
             write_report(summary, stream)
             failed = failed or not summary.ok
@@ -291,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-strict", type=float, default=1e-9)
     p.add_argument("--curiosities", action="store_true",
                    help="log tough graphs whose eigenvalue sits at the threshold")
-    p.add_argument("--allow-order-8", action="store_true", dest="allow_order_8")
     p.add_argument("--output", default=None, help="report path ('-' = stdout)")
     p.set_defaults(func=_cmd_verify_theorem)
 

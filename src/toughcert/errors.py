@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that raises them."""
 
 __all__ = [
     "DomainError",
@@ -35,3 +36,12 @@ class Graph6ParseError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """LAPACK's symmetric eigensolver did not converge."""
+
+
+def _check_int(value, message: str, least: float = 1, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is an ``int`` of at least
+    ``least``, with ``message`` formatted with ``least`` (only then).  A
+    bool is refused: True == 1 with the same hash would pass for 1, and
+    share 1's entry in any memo."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise error(message.format(least))

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, Graph6ParseError
+from .errors import DomainError, Graph6ParseError, _check_int
 
 __all__ = [
     "Graph",
@@ -77,8 +77,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError("graph order must be a positive integer")
+        _check_int(self.n, "graph order must be a positive integer")
         if len(self.adj) != self.n:
             raise DomainError("adjacency length must equal the order")
         full = (1 << self.n) - 1
@@ -131,6 +130,7 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph of order ``n`` from an edge list."""
+    _check_int(n, "graph order must be a positive integer")
     adj = [0] * n
     for u, v in edges:
         if u == v:
@@ -144,16 +144,14 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete(n: int) -> Graph:
     """The complete graph on ``n`` vertices."""
-    if n < 1:
-        raise DomainError("graph order must be a positive integer")
+    _check_int(n, "graph order must be a positive integer")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def empty(n: int) -> Graph:
     """``n`` isolated vertices."""
-    if n < 1:
-        raise DomainError("graph order must be a positive integer")
+    _check_int(n, "graph order must be a positive integer")
     return Graph(n, (0,) * n)
 
 
@@ -264,8 +262,7 @@ def is_extremal(g: Graph, t: int) -> bool:
     bound at each feasible (t, n).  Requires a connected input of order
     at least t + 2.
     """
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise DomainError("t must be a positive integer")
+    _check_int(t, "t must be a positive integer")
     if g.n < t + 2:
         raise DomainError(f"order {g.n} below t + 2 = {t + 2}")
     if not is_connected(g):

@@ -11,7 +11,9 @@ against.  The squaring reaches (A + I)^16 e0 with three products and
 one matrix-vector product, then takes one product and one
 matrix-vector product per bracket.  Adjacency matrices are read from
 the 0/1 matrix each graph keeps.  LAPACK failures surface as
-``ConvergenceError``.
+``ConvergenceError``.  Full spectra are refused above ``DENSE_LIMIT``
+(512) rows with ``SizeLimitError``; that limit and the equitability
+tolerance are constants, not settings.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 512
+# Block sums of a 0/1 adjacency matrix are small integers, summed
+# exactly; the tolerance only absorbs rounding in a weighted matrix.
+_EQUITABLE_TOL = 1e-9
 
 # Orders on which spectral_radius tries repeated squaring before
 # eigvalsh: below 24 eigvalsh is faster, and past about 250 the O(n^3)
@@ -168,18 +173,18 @@ def spectral_radius(g: Graph, *, cuts: tuple[float, ...] = ()) -> float:
     return float(spectral_radii(a[None])[0])
 
 
-def full_spectrum(matrix, dense_limit: int = DENSE_LIMIT) -> Spectrum:
+def full_spectrum(matrix) -> Spectrum:
     """All eigenvalues of a symmetric matrix.
 
     Input must be square, symmetric, finite and of dimension at most
-    ``dense_limit``.
+    ``DENSE_LIMIT``.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
     m = a.shape[0]
-    if m > dense_limit:
-        raise SizeLimitError(f"dimension {m} exceeds dense limit {dense_limit}")
+    if m > DENSE_LIMIT:
+        raise SizeLimitError(f"dimension {m} exceeds dense limit {DENSE_LIMIT}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix must be finite")
     scale = float(np.linalg.norm(a))
@@ -227,15 +232,15 @@ def quotient_matrix(matrix, blocks) -> np.ndarray:
     return q
 
 
-def is_equitable(matrix, blocks, tol: float = 1e-9) -> bool:
+def is_equitable(matrix, blocks) -> bool:
     """Whether each vertex of block i sends the same total weight into
-    block j, for every pair (i, j)."""
+    block j, for every pair (i, j), within ``_EQUITABLE_TOL``."""
     a = np.asarray(matrix, dtype=float)
     parts = _check_partition(a, blocks)
     for bi in parts:
         for bj in parts:
             sums = a[np.ix_(bi, bj)].sum(axis=1)
-            if float(sums.max() - sums.min()) > tol:
+            if float(sums.max() - sums.min()) > _EQUITABLE_TOL:
                 return False
     return True
 

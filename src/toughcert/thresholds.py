@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _check_int
 from .graphs import Graph, complete, disjoint_union, empty, join
 
 __all__ = [
@@ -122,12 +122,8 @@ def _root_side(coeffs: tuple[float, ...]):
 
 
 def _check_t_n(t: int, n: int) -> None:
-    # bool is an int, and True == 1 with the same hash would share 1's
-    # memo entry
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise DomainError("t must be a positive integer")
-    if isinstance(n, bool) or not isinstance(n, int) or n < t + 2:
-        raise DomainError(f"order n must be an integer >= t + 2 = {t + 2}")
+    _check_int(t, "t must be a positive integer")
+    _check_int(n, "order n must be an integer >= t + 2 = {}", t + 2)
 
 
 def threshold_cubic(t: int, n: int) -> Cubic:
@@ -173,12 +169,9 @@ def _threshold(t: int, n: int) -> ThresholdResult:
 def quotient_cubic(s: int, t: int, n: int) -> Cubic:
     """Characteristic cubic of the 3x3 quotient of
     K_s v (K_{n-ts-s} u tsK1) under its three orbit blocks."""
-    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-        raise DomainError("s must be a positive integer")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise DomainError("t must be a positive integer")
-    if isinstance(n, bool) or not isinstance(n, int) or n < t * s + s + 1:
-        raise DomainError(f"order n must be an integer >= ts + s + 1 = {t*s + s + 1}")
+    _check_int(s, "s must be a positive integer")
+    _check_int(t, "t must be a positive integer")
+    _check_int(n, "order n must be an integer >= ts + s + 1 = {}", t * s + s + 1)
     return Cubic(
         1.0,
         -float(n - t * s - 2),
@@ -190,10 +183,8 @@ def quotient_cubic(s: int, t: int, n: int) -> Cubic:
 def complete_split_radius(s: int, t: int) -> float:
     """Largest adjacency eigenvalue of K_s v (ts+1)K1 in closed form:
     the positive root of x^2 - (s-1)x - s(ts+1)."""
-    if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-        raise DomainError("s must be a positive integer")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise DomainError("t must be a positive integer")
+    _check_int(s, "s must be a positive integer")
+    _check_int(t, "t must be a positive integer")
     disc = (4 * t + 1) * s * s + 2 * s + 1
     return (s - 1 + math.sqrt(disc)) / 2.0
 
@@ -238,13 +229,11 @@ class JoinCliqueSpec:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or self.s < 1:
-            raise DomainError("s must be a positive integer")
+        _check_int(self.s, "s must be a positive integer")
         if not self.parts:
             raise DomainError("at least one clique part is required")
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise DomainError("clique parts must be positive integers")
+            _check_int(p, "clique parts must be positive integers")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise DomainError("clique parts must be nonincreasing")
 

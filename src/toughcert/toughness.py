@@ -31,6 +31,9 @@ violate and the call answers without any table.  Otherwise it builds
 the graph's tables and compares, over the same plan, so witnesses do
 not depend on the rule.  ``certify`` has already checked connectivity,
 so it enters through ``_one_over_t_tough``, which skips that check.
+Every entry point refuses orders above ``EXHAUSTIVE_LIMIT`` (20) with
+``SizeLimitError``; the limit is a constant, and the per-order caches
+are sized for it.
 """
 
 from __future__ import annotations
@@ -80,15 +83,15 @@ class ToughnessResult:
         return f"{self.numerator}/{self.denominator}"
 
 
-def _check_order(g: Graph, max_order: int) -> None:
-    if g.n > max_order:
+def _check_order(g: Graph) -> None:
+    if g.n > EXHAUSTIVE_LIMIT:
         raise SizeLimitError(
-            f"order {g.n} exceeds the exhaustive limit {max_order}"
+            f"order {g.n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}"
         )
 
 
-def _check_input(g: Graph, max_order: int) -> None:
-    _check_order(g, max_order)
+def _check_input(g: Graph) -> None:
+    _check_order(g)
     if not is_connected(g):
         raise DomainError("toughness is defined for connected graphs only")
 
@@ -216,9 +219,10 @@ def _witness(cut) -> tuple[int, ...]:
     return tuple(_bits(int(cut)))
 
 
-def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessResult:
-    """Exact toughness of a connected graph of order <= ``max_order``."""
-    _check_input(g, max_order)
+def toughness_exact(g: Graph) -> ToughnessResult:
+    """Exact toughness of a connected graph of order at most
+    ``EXHAUSTIVE_LIMIT``."""
+    _check_input(g)
     n = g.n
     full = (1 << n) - 1
     if all(row == full ^ (1 << v) for v, row in enumerate(g.adj)):
@@ -229,9 +233,7 @@ def toughness_exact(g: Graph, max_order: int = EXHAUSTIVE_LIMIT) -> ToughnessRes
     return ToughnessResult(False, int(sizes[i]), int(counts[i]), _witness(cuts[i]))
 
 
-def _one_over_t_tough(
-    g: Graph, tn: int, td: int, max_order: int = EXHAUSTIVE_LIMIT
-) -> tuple[bool, tuple[int, ...] | None]:
+def _one_over_t_tough(g: Graph, tn: int, td: int) -> tuple[bool, tuple[int, ...] | None]:
     """``is_one_over_t_tough`` for t = tn / td > 0 on a graph already
     known to be connected; only the order is checked.
 
@@ -240,7 +242,7 @@ def _one_over_t_tough(
     plan with no cuts rules out everything.  Any other graph gets the
     all-subset pass over the whole plan, so a non-tough graph's witness
     is the first violating cut in (size, lexicographic) order."""
-    _check_order(g, max_order)
+    _check_order(g)
     cuts, rests, floor, rule = _cut_plan(g.n, tn, td)
     if _degrees_rule_out(g.adj, rule):
         return True, None
@@ -251,17 +253,15 @@ def _one_over_t_tough(
     return False, _witness(cuts[i])
 
 
-def is_one_over_t_tough(
-    g: Graph, t, max_order: int = EXHAUSTIVE_LIMIT
-) -> tuple[bool, tuple[int, ...] | None]:
+def is_one_over_t_tough(g: Graph, t) -> tuple[bool, tuple[int, ...] | None]:
     """Whether every cut S satisfies t |S| >= c(G - S).
 
     ``t`` may be an integer or a Fraction; the comparison is exact.
     Returns ``(True, None)`` or ``(False, witness_cut)`` with the first
     violating cut in (size, lexicographic) scan order.
     """
-    _check_input(g, max_order)
+    _check_input(g)
     frac = Fraction(t)
     if frac <= 0:
         raise DomainError("t must be positive")
-    return _one_over_t_tough(g, frac.numerator, frac.denominator, max_order)
+    return _one_over_t_tough(g, frac.numerator, frac.denominator)

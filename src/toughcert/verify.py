@@ -61,12 +61,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, SizeLimitError
+from .errors import DomainError, HypothesisError, SizeLimitError, _check_int
 from .graphs import (
     Graph,
     _extremal_core,
     _graph6_text,
     _kept,
+    _reach,
     from_edges,
     is_connected,
     to_graph6,
@@ -114,11 +115,6 @@ VERDICT_TOUGH = "certified-tough"
 VERDICT_EXCEPTIONAL = "exceptional"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-# orders above this are rejected by the exhaustive scans unless the
-# caller opts in explicitly (the order-8 scan touches 2^28 masks)
-_SCAN_DEFAULT_MAX = 7
-_SCAN_HARD_MAX = 8
-
 
 def _round12(x: float) -> float:
     """Floats destined for reports, cut to 12 significant digits so the
@@ -135,8 +131,7 @@ def _edge_order(n: int) -> tuple[tuple[int, int], ...]:
 def graph_from_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the set bits of ``mask`` in the
     lexicographic pair order (0,1), (0,2), ..., (n-2,n-1)."""
-    if n < 1:
-        raise DomainError("graph order must be a positive integer")
+    _check_int(n, "graph order must be a positive integer")
     if not 0 <= mask < 1 << (n * (n - 1) // 2):
         raise DomainError(f"edge mask out of range for order {n}")
     adj = [0] * n
@@ -155,19 +150,12 @@ def mask_of_graph(g: Graph) -> int:
     return mask
 
 
-# The vectorised scans hold one graph per array entry as an int64 edge
-# mask (one bit per vertex pair), so the mask count 2^C(n,2) must stay
-# below the sign bit at the scan cap.
-assert _SCAN_HARD_MAX * (_SCAN_HARD_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
-
-
 def enumerate_connected(n: int):
     """Yield every connected labeled graph of order ``n`` in increasing
     edge-mask order.  Guarded at order 8 (2^28 masks)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError("order must be a positive integer")
-    if n > _SCAN_HARD_MAX:
-        raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_HARD_MAX}")
+    _check_int(n, "order must be a positive integer")
+    if n > _SCAN_MAX:
+        raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_MAX}")
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, total)
@@ -236,8 +224,7 @@ def certify(
     strict parsing accepts one encoding per graph, so it equals
     ``to_graph6(g)``, which is computed only when it is omitted.
     """
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise HypothesisError("t must be a positive integer")
+    _check_int(t, "t must be a positive integer", error=HypothesisError)
     if not epsilon >= 0:
         raise DomainError("epsilon must be nonnegative")
     if g.n < t + 2:
@@ -337,7 +324,11 @@ _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
 # above the table order the scan splits off vertex 0 once and reads the
 # order-7 tables, so order 8 is the largest it can reach
-assert _SCAN_HARD_MAX <= _TABLE_ORDER + 1
+_SCAN_MAX = _TABLE_ORDER + 1
+# The vectorised scans hold one graph per array entry as an int64 edge
+# mask (one bit per vertex pair), so the mask count 2^C(n,2) must stay
+# below the sign bit at the scan cap.
+assert _SCAN_MAX * (_SCAN_MAX - 1) // 2 < np.iinfo(np.int64).bits - 1
 
 
 @lru_cache(maxsize=None)
@@ -724,7 +715,6 @@ def verify_theorem(
     eps_eq: float = 1e-9,
     eps_strict: float = 1e-9,
     log_curiosities: bool = False,
-    allow_order_8: bool = False,
     chunk_size: int = _TABLE_BLOCK,
 ) -> VerificationSummary:
     """Check the sufficient condition against every connected labeled
@@ -736,10 +726,10 @@ def verify_theorem(
     ``eps_eq``), or its largest eigenvalue is below threshold by more
     than ``eps_strict``.  Anything else is recorded as a failure;
     eigenvalues inside the ambiguity band are recorded as incidents.
-    Both tolerances must be finite and nonnegative.  Order 8 must be
-    enabled explicitly via ``allow_order_8``.  ``workers`` must be a
-    positive integer; no more processes are forked than there are chunks
-    or cores this process may run on.
+    Both tolerances must be finite and nonnegative.  Orders above 8
+    (``_SCAN_MAX``, one past the table order) raise ``SizeLimitError``.
+    ``workers`` must be a positive integer; no more processes are forked
+    than there are chunks or cores this process may run on.
     """
     started = time.perf_counter()
     # threshold checks t and n >= t + 2 first
@@ -747,16 +737,10 @@ def verify_theorem(
     for name, eps in (("eps_eq", eps_eq), ("eps_strict", eps_strict)):
         if not (math.isfinite(eps) and eps >= 0):
             raise DomainError(f"{name} must be finite and nonnegative")
-    if not isinstance(chunk_size, int) or chunk_size < 1:
-        raise DomainError("chunk_size must be a positive integer")
-    if not isinstance(workers, int) or workers < 1:
-        raise DomainError("workers must be a positive integer")
-    cap = _SCAN_HARD_MAX if allow_order_8 else _SCAN_DEFAULT_MAX
-    if n > cap:
-        raise SizeLimitError(
-            f"order {n} exceeds the scan cap {cap}"
-            + ("" if allow_order_8 else " (pass allow_order_8 to push to 8)")
-        )
+    _check_int(chunk_size, "chunk_size must be a positive integer")
+    _check_int(workers, "workers must be a positive integer")
+    if n > _SCAN_MAX:
+        raise SizeLimitError(f"order {n} exceeds the scan cap {_SCAN_MAX}")
     total = 1 << (n * (n - 1) // 2)
     ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     argv = [
@@ -813,6 +797,14 @@ def verify_theorem(
 
 # -- supporting-fact suites --------------------------------------------------
 
+# The suites' tolerances and the monotonicity suite's largest order are
+# fixed; each summary's scope reports the values it ran with.
+_MAXIMIZER_EPS = 1e-9
+_QUOTIENT_EPS = 1e-8
+_MONOTONICITY_ORDER = 12
+_MONOTONICITY_MARGIN = 1e-10
+_IDENTITIES_EPS = 1e-9
+
 
 def _partitions_desc(total: int, parts: int, cap: int | None = None):
     """Nonincreasing ``parts``-tuples of positive integers summing to
@@ -830,15 +822,13 @@ def _partitions_desc(total: int, parts: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def verify_join_maximizer(
-    n: int, s: int, c: int, eps: float = 1e-9
-) -> VerificationSummary:
+def verify_join_maximizer(n: int, s: int, c: int) -> VerificationSummary:
     """Among all K_s v (K_{p1} u ... u K_{pc}) of order ``n`` with ``c``
     clique parts, the shape (n-s-c+1, 1, ..., 1) uniquely maximizes the
     largest adjacency eigenvalue.  Checks the inequality and that
     near-equality happens only at that shape."""
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in (n, s, c)):
-        raise DomainError("n, s, c must be integers")
+    for x in (n, s, c):
+        _check_int(x, "n, s, c must be integers", -math.inf)
     if s < 1 or c < 1 or n < s + c:
         raise DomainError("need s >= 1, c >= 1 and n >= s + c")
     started = time.perf_counter()
@@ -858,19 +848,19 @@ def verify_join_maximizer(
             "lambda1": _round12(lam),
             "best_lambda1": _round12(best),
         }
-        if lam > best + eps:
+        if lam > best + _MAXIMIZER_EPS:
             failures.append(
                 {**base, "kind": "maximizer-exceeded",
                  "detail": "a non-star shape beat the maximizer"}
             )
-        if (abs(lam - best) <= eps) != (shape == best_shape):
+        if (abs(lam - best) <= _MAXIMIZER_EPS) != (shape == best_shape):
             failures.append(
                 {**base, "kind": "equality-shape",
                  "detail": "equality with the maximizer off the unique shape"}
             )
     return VerificationSummary(
         check="join-maximizer",
-        scope={"n": n, "s": s, "c": c, "eps": eps},
+        scope={"n": n, "s": s, "c": c, "eps": _MAXIMIZER_EPS},
         counts={"shapes": checked},
         failures=failures,
         elapsed=time.perf_counter() - started,
@@ -881,7 +871,6 @@ def verify_quotient_embedding(
     s_max: int = 4,
     t_max: int = 4,
     n_max: int = 24,
-    eps: float = 1e-8,
 ) -> VerificationSummary:
     """For the join family K_s v (K_{n-ts-s} u tsK1) under its three
     orbit blocks: the partition is equitable, the quotient's largest
@@ -911,7 +900,7 @@ def verify_quotient_embedding(
                     continue
                 lam = spectral_radius(g)
                 qspec = quotient_spectrum(a, blocks)
-                if abs(lam - qspec.radius) > eps:
+                if abs(lam - qspec.radius) > _QUOTIENT_EPS:
                     failures.append(
                         {**base, "kind": "quotient-radius",
                          "lambda1": _round12(lam),
@@ -921,7 +910,7 @@ def verify_quotient_embedding(
                 if n <= 12:
                     full = full_spectrum(a).values
                     for q in qspec.values:
-                        if min(abs(q - x) for x in full) > eps:
+                        if min(abs(q - x) for x in full) > _QUOTIENT_EPS:
                             failures.append(
                                 {**base, "kind": "eigenvalue-embedding",
                                  "quotient_value": _round12(q),
@@ -929,7 +918,7 @@ def verify_quotient_embedding(
                             )
     return VerificationSummary(
         check="quotient-embedding",
-        scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": eps},
+        scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": _QUOTIENT_EPS},
         counts={"partitions": checked},
         failures=failures,
         elapsed=time.perf_counter() - started,
@@ -937,8 +926,6 @@ def verify_quotient_embedding(
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
-    if n == 1:
-        return Graph(1, (0,))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     while True:
         p = rng.uniform(0.3, 0.9)
@@ -964,28 +951,32 @@ def _delete_edge(g: Graph, u: int, v: int) -> Graph:
 
 def verify_subgraph_monotonicity(
     trials: int = 1000,
-    max_order: int = 12,
-    margin: float = 1e-10,
     seed: int = 20260814,
 ) -> VerificationSummary:
     """Deleting an edge or a vertex from a connected graph (keeping it
     connected) strictly lowers the largest adjacency eigenvalue.
-    Randomized but fully determined by ``seed``."""
-    if trials < 1 or max_order < 2:
-        raise DomainError("need at least one trial and max_order >= 2")
+    Randomized but fully determined by ``seed``.  The deletions that
+    keep the graph connected are found on its rows, one ``_reach`` each:
+    with the edge's two bits cleared, or with the vertex left out of the
+    vertices searched.  Only the chosen subgraph is built."""
+    _check_int(trials, "need at least one trial")
     started = time.perf_counter()
     rng = random.Random(seed)
     failures: list[dict] = []
     for _ in range(trials):
-        n = rng.randint(2, max_order)
+        n = rng.randint(2, _MONOTONICITY_ORDER)
         g = _random_connected(rng, n)
+        full = (1 << n) - 1
         options: list[tuple] = []
         for (u, v) in g.edges():
-            h = _delete_edge(g, u, v)
-            if is_connected(h):
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            if _reach(rows, 1, full) == full:
                 options.append(("edge", u, v))
         for v in range(n):
-            if n >= 2 and is_connected(_delete_vertex(g, v)):
+            rest = full ^ 1 << v
+            if _reach(g.adj, rest & -rest, rest) == rest:
                 options.append(("vertex", v))
         choice = rng.choice(options)
         if choice[0] == "edge":
@@ -994,7 +985,7 @@ def verify_subgraph_monotonicity(
             h = _delete_vertex(g, choice[1])
         lam_g = spectral_radius(g)
         lam_h = spectral_radius(h)
-        if not lam_g > lam_h + margin:
+        if not lam_g > lam_h + _MONOTONICITY_MARGIN:
             failures.append(
                 {
                     "check": "subgraph-monotonicity",
@@ -1009,7 +1000,8 @@ def verify_subgraph_monotonicity(
             )
     return VerificationSummary(
         check="subgraph-monotonicity",
-        scope={"trials": trials, "max_order": max_order, "margin": margin, "seed": seed},
+        scope={"trials": trials, "max_order": _MONOTONICITY_ORDER,
+               "margin": _MONOTONICITY_MARGIN, "seed": seed},
         counts={"trials": trials},
         failures=failures,
         elapsed=time.perf_counter() - started,
@@ -1020,7 +1012,6 @@ def verify_threshold_identities(
     s_max: int = 6,
     t_max: int = 5,
     n_max: int = 40,
-    eps: float = 1e-9,
 ) -> VerificationSummary:
     """Polynomial facts linking the quotient cubic to the certification
     cubic across the feasible (s, t, n) grid:
@@ -1048,7 +1039,7 @@ def verify_threshold_identities(
                 root, _ = qc.largest_root_in(0.0, float(n - 1))
                 shape = (n - t * s - s,) + (1,) * (t * s)
                 lam = spectral_radius(build_join_cliques(JoinCliqueSpec(s, shape)))
-                if abs(root - lam) > eps:
+                if abs(root - lam) > _IDENTITIES_EPS:
                     failures.append(
                         {**base, "kind": "quotient-root",
                          "root": _round12(root), "lambda1": _round12(lam),
@@ -1059,18 +1050,18 @@ def verify_threshold_identities(
                     lhs = cert(x) - qc(x)
                     rhs = (s - 1) * gap_factor(s, t, n, x)
                     scale = max(1.0, abs(lhs), abs(rhs))
-                    if abs(lhs - rhs) > eps * scale:
+                    if abs(lhs - rhs) > _IDENTITIES_EPS * scale:
                         failures.append(
                             {**base, "kind": "gap-identity", "x": _round12(x),
                              "detail": "cubic difference disagrees with its factored form"}
                         )
-                if gap_factor(s, t, n, root) > gap_bound(s, t, root) + eps:
+                if gap_factor(s, t, n, root) > gap_bound(s, t, root) + _IDENTITIES_EPS:
                     failures.append(
                         {**base, "kind": "gap-bound",
                          "detail": "gap factor exceeded its order-free bound"}
                     )
                 split = complete_split_radius(s, t)
-                if root < split - eps:
+                if root < split - _IDENTITIES_EPS:
                     failures.append(
                         {**base, "kind": "root-ordering",
                          "root": _round12(root), "split": _round12(split),
@@ -1084,7 +1075,7 @@ def verify_threshold_identities(
                     )
                 eta = threshold(t, n).value
                 if s == 1:
-                    if abs(root - eta) > eps:
+                    if abs(root - eta) > _IDENTITIES_EPS:
                         failures.append(
                             {**base, "kind": "s1-coincidence",
                              "root": _round12(root), "threshold": _round12(eta),
@@ -1105,7 +1096,7 @@ def verify_threshold_identities(
                         )
     return VerificationSummary(
         check="threshold-identities",
-        scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": eps},
+        scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": _IDENTITIES_EPS},
         counts={"combinations": checked},
         failures=failures,
         elapsed=time.perf_counter() - started,

@@ -274,8 +274,6 @@ def test_full_spectrum_input_validation():
         full_spectrum([[float("nan"), 0.0], [0.0, 0.0]])
     with pytest.raises(SizeLimitError):
         full_spectrum(np.zeros((600, 600)))
-    with pytest.raises(SizeLimitError):
-        full_spectrum(np.zeros((20, 20)), dense_limit=10)
 
 
 def test_quotient_matrix_examples():

@@ -147,16 +147,6 @@ def test_witness_is_first_in_size_then_lexicographic_order():
     assert (res.numerator, res.denominator, res.witness) == (2, 3, (0, 5))
 
 
-def test_max_order_above_the_default_limit():
-    g = build_extremal(1, 21)
-    with pytest.raises(SizeLimitError):
-        toughness_exact(g)
-    res = toughness_exact(g, max_order=21)
-    assert (res.numerator, res.denominator, res.witness) == (1, 2, (0,))
-    assert is_one_over_t_tough(g, 1, max_order=21) == (False, (0,))
-    assert is_one_over_t_tough(g, 2, max_order=21) == (True, None)
-
-
 def test_extremal_family_value():
     for t in range(1, 3):
         for n in range(t + 2, 9):
@@ -354,5 +344,4 @@ def test_input_guards():
     with pytest.raises(SizeLimitError):
         toughness_exact(complete(21))
     with pytest.raises(SizeLimitError):
-        is_one_over_t_tough(complete(25), 1, max_order=24)
-    assert toughness_exact(complete(21), max_order=21).infinite
+        is_one_over_t_tough(complete(21), 1)

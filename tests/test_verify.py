@@ -13,13 +13,16 @@ import pytest
 import toughcert.verify
 from toughcert import (
     DomainError,
+    Graph,
     HypothesisError,
+    JoinCliqueSpec,
     SizeLimitError,
     adjacency_matrix,
     build_extremal,
     certify,
     complete,
     disjoint_union,
+    empty,
     from_edges,
     is_connected,
     is_extremal,
@@ -30,6 +33,7 @@ from toughcert import (
     to_graph6,
     toughness_exact,
 )
+from toughcert.cli import run
 from toughcert.graphs import _extremal_core
 from toughcert.verify import (
     VERDICT_EXCEPTIONAL,
@@ -801,14 +805,31 @@ def test_verify_theorem_deterministic_reports():
     assert closing["ok"] is True
 
 
-def test_verify_theorem_guards():
+def test_verify_theorem_guards(monkeypatch):
     for t in (0, True):
         with pytest.raises(DomainError, match="t must be a positive integer"):
             verify_theorem(4, t)
     with pytest.raises(DomainError, match=r"order n must be an integer >= t \+ 2 = 4"):
         verify_theorem(3, 2)  # n below t + 2
-    with pytest.raises(SizeLimitError):
-        verify_theorem(8, 1)  # needs allow_order_8
+    with pytest.raises(SizeLimitError, match="order 9 exceeds the scan cap 8"):
+        verify_theorem(9, 1)
+    # order 8 needs no opt-in: the call reaches the chunk scan, here a
+    # stand-in that scans nothing
+    scanned = []
+
+    def no_scan(args):
+        scanned.append(args[:4])
+        return {"connected": 0, "tough": 0, "not_tough": 0, "exceptional_masks": [],
+                "exceptional_g6": [], "eigensolves": 0, "bound_skips": 0,
+                "failures": [], "incidents": []}
+
+    monkeypatch.setattr(toughcert.verify, "_scan_chunk", no_scan)
+    assert verify_theorem(8, 1, chunk_size=1 << 28).scope["n"] == 8
+    assert scanned == [(8, 1, 0, 1 << 28)]
+    # and the CLI flag that once enabled it is gone
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-theorem", "--n", "8", "--t", "1", "--allow-order-8"])
+    assert exc.value.code == 2
 
 
 def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
@@ -915,15 +936,29 @@ def test_verify_join_maximizer():
 
 
 def test_bool_order_or_count_is_rejected():
-    # True == 1 passes isinstance(..., int): each entry point checks for
-    # bool itself, as threshold does
-    with pytest.raises(DomainError):
-        is_extremal(build_extremal(1, 4), True)
-    with pytest.raises(DomainError):
-        next(enumerate_connected(True))
-    for n, s, c in ((4, True, 2), (True, 1, 1), (4, 1, True)):
+    # True == 1 passes isinstance(..., int): every entry point refuses a
+    # bool, or a float, as threshold does, with a DomainError rather than
+    # a raw TypeError from deeper down
+    for call in (
+        lambda: is_extremal(build_extremal(1, 4), True),
+        lambda: next(enumerate_connected(True)),
+        lambda: verify_join_maximizer(4, True, 2),
+        lambda: verify_join_maximizer(True, 1, 1),
+        lambda: verify_join_maximizer(4, 1, True),
+        lambda: verify_theorem(4, 1, workers=True),
+        lambda: verify_theorem(4, 1, chunk_size=True),
+        lambda: JoinCliqueSpec(True, (2,)),
+        lambda: JoinCliqueSpec(2, (True,)),
+        lambda: Graph(True, (0,)),
+        lambda: complete(True),
+        lambda: empty(True),
+        lambda: empty(2.0),
+        lambda: from_edges(2.0, []),
+        lambda: graph_from_mask(True, 0),
+        lambda: verify_subgraph_monotonicity(trials=True),
+    ):
         with pytest.raises(DomainError):
-            verify_join_maximizer(n, s, c)
+            call()
 
 
 def test_verify_quotient_embedding():
