@@ -20,8 +20,8 @@ from .spectral import spectral_radius
 from .thresholds import build_extremal, threshold, threshold_cubic
 from .toughness import EXHAUSTIVE_LIMIT, toughness_exact
 from .verify import (
+    _maximizer_grid,
     certify,
-    verify_join_maximizer,
     verify_quotient_embedding,
     verify_subgraph_monotonicity,
     verify_theorem,
@@ -157,77 +157,57 @@ def _cmd_certify(args) -> int:
     return 0
 
 
+def _write_summaries(path: str | None, summaries, describe) -> int:
+    """Write each summary's report to ``path`` (stdout for None or '-')
+    as it comes, and its ``describe`` line to stderr; exit code 1 if any
+    summary failed."""
+    stream, close = _out_stream(path)
+    failed = False
+    try:
+        for summary in summaries:
+            write_report(summary, stream)
+            failed = failed or not summary.ok
+            print(describe(summary), file=sys.stderr)
+    finally:
+        if close:
+            stream.close()
+    return 1 if failed else 0
+
+
 def _cmd_verify_theorem(args) -> int:
     n_hi = args.n_max if args.n_max is not None else args.n
     if n_hi < args.n:
         raise DomainError("--n-max below --n")
-    stream, close = _out_stream(args.output)
-    failed = False
-    try:
-        for n in range(args.n, n_hi + 1):
-            summary = verify_theorem(
-                n,
-                args.t,
-                workers=args.workers,
-                eps_eq=args.eps_eq,
-                eps_strict=args.eps_strict,
-                log_curiosities=args.curiosities,
-            )
-            write_report(summary, stream)
-            failed = failed or not summary.ok
-            print(
-                f"n={n} t={args.t}: connected={summary.counts['connected']} "
-                f"tough={summary.counts['tough']} "
-                f"exceptional={summary.counts['exceptional']} "
-                f"failures={len(summary.failures)} "
-                f"({summary.elapsed:.2f}s)",
-                file=sys.stderr,
-            )
-    finally:
-        if close:
-            stream.close()
-    return 1 if failed else 0
+    # a generator, so each order's report is written before the next scan
+    summaries = (
+        verify_theorem(n, args.t, workers=args.workers, eps_eq=args.eps_eq,
+                       eps_strict=args.eps_strict, log_curiosities=args.curiosities)
+        for n in range(args.n, n_hi + 1)
+    )
+    return _write_summaries(args.output, summaries, lambda summary: (
+        f"n={summary.scope['n']} t={args.t}: connected={summary.counts['connected']} "
+        f"tough={summary.counts['tough']} exceptional={summary.counts['exceptional']} "
+        f"failures={len(summary.failures)} ({summary.elapsed:.2f}s)"
+    ))
 
 
 def _cmd_verify_lemmas(args) -> int:
-    stream, close = _out_stream(args.output)
-    failed = False
-    try:
-        suites = []
-        if args.suite in ("all", "maximizer"):
-            for n in range(args.s_max + args.c_max, args.n_max + 1):
-                for s in range(1, args.s_max + 1):
-                    for c in range(1, args.c_max + 1):
-                        if n >= s + c:
-                            suites.append(verify_join_maximizer(n, s, c))
-        if args.suite in ("all", "quotient"):
-            suites.append(
-                verify_quotient_embedding(
-                    s_max=args.q_s_max, t_max=args.q_t_max, n_max=args.q_n_max
-                )
-            )
-        if args.suite in ("all", "monotonicity"):
-            suites.append(
-                verify_subgraph_monotonicity(trials=args.trials, seed=args.seed)
-            )
-        if args.suite in ("all", "identities"):
-            suites.append(
-                verify_threshold_identities(
-                    s_max=args.i_s_max, t_max=args.i_t_max, n_max=args.i_n_max
-                )
-            )
-        for summary in suites:
-            write_report(summary, stream)
-            failed = failed or not summary.ok
-            print(
-                f"{summary.check}: counts={summary.counts} "
-                f"failures={len(summary.failures)} ({summary.elapsed:.2f}s)",
-                file=sys.stderr,
-            )
-    finally:
-        if close:
-            stream.close()
-    return 1 if failed else 0
+    # every suite runs before anything is written, so a bad grid writes nothing
+    summaries = []
+    if args.suite in ("all", "maximizer"):
+        summaries += _maximizer_grid(args.n_max, args.s_max, args.c_max)
+    if args.suite in ("all", "quotient"):
+        summaries.append(verify_quotient_embedding(
+            s_max=args.q_s_max, t_max=args.q_t_max, n_max=args.q_n_max))
+    if args.suite in ("all", "monotonicity"):
+        summaries.append(verify_subgraph_monotonicity(trials=args.trials, seed=args.seed))
+    if args.suite in ("all", "identities"):
+        summaries.append(verify_threshold_identities(
+            s_max=args.i_s_max, t_max=args.i_t_max, n_max=args.i_n_max))
+    return _write_summaries(args.output, summaries, lambda summary: (
+        f"{summary.check}: counts={summary.counts} "
+        f"failures={len(summary.failures)} ({summary.elapsed:.2f}s)"
+    ))
 
 
 # parse_args reads a parser without changing it, so one per process

@@ -209,6 +209,9 @@ def is_connected(g: Graph) -> bool:
 
 
 def _removal_mask(g: Graph, removed) -> int:
+    # True == 1 would pass for the mask of vertex 0
+    if isinstance(removed, bool):
+        raise DomainError("removal must be vertices or a mask, not a bool")
     if isinstance(removed, int):
         mask = removed
         if mask & ~((1 << g.n) - 1) or mask < 0:

@@ -10,7 +10,9 @@ digits and fall on the same side of every value the caller compares
 against.  The squaring reaches (A + I)^16 e0 with three products and
 one matrix-vector product, then takes one product and one
 matrix-vector product per bracket.  Adjacency matrices are read from
-the 0/1 matrix each graph keeps.  LAPACK failures surface as
+the 0/1 matrix each graph keeps.  Quotient matrices, the equitability
+test and quotient spectra all read one pass of row-into-block sums,
+which checks the partition.  LAPACK failures surface as
 ``ConvergenceError``.  Full spectra are refused above ``DENSE_LIMIT``
 (512) rows with ``SizeLimitError``; that limit and the equitability
 tolerance are constants, not settings.
@@ -199,9 +201,11 @@ def full_spectrum(matrix) -> Spectrum:
     return Spectrum(tuple(float(x) for x in w[::-1]), residual)
 
 
-def _check_partition(a: np.ndarray, blocks) -> list[list[int]]:
+def _block_sums(a: np.ndarray, blocks) -> tuple[list[list[int]], np.ndarray]:
     """``blocks`` read once into lists, checked to partition the indices
-    of the square matrix ``a``."""
+    of the square matrix ``a``, and the (m, k) weights ``a @ member``:
+    entry (v, j) is the total weight from row v into block j.  On 0/1
+    input the sums are exact integers."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError("matrix must be square")
     m = a.shape[0]
@@ -216,52 +220,43 @@ def _check_partition(a: np.ndarray, blocks) -> list[list[int]]:
             seen.add(v)
     if len(seen) != m:
         raise DomainError("blocks must cover every index")
-    return parts
+    member = np.zeros((m, len(parts)))
+    for j, p in enumerate(parts):
+        member[p, j] = 1.0
+    return parts, a @ member
 
 
 def quotient_matrix(matrix, blocks) -> np.ndarray:
-    """Block-averaged quotient: entry (i, j) is the total weight from a
-    block-i row into block j divided by the size of block i."""
-    a = np.asarray(matrix, dtype=float)
-    parts = _check_partition(a, blocks)
-    k = len(parts)
-    q = np.zeros((k, k))
-    for i, bi in enumerate(parts):
-        for j, bj in enumerate(parts):
-            q[i, j] = float(a[np.ix_(bi, bj)].sum()) / len(bi)
-    return q
+    """Block-averaged quotient: entry (i, j) is the total weight from the
+    block-i rows into block j divided by the size of block i."""
+    parts, w = _block_sums(np.asarray(matrix, dtype=float), blocks)
+    return np.array([w[p].sum(axis=0) / len(p) for p in parts])
 
 
 def is_equitable(matrix, blocks) -> bool:
     """Whether each vertex of block i sends the same total weight into
     block j, for every pair (i, j), within ``_EQUITABLE_TOL``."""
-    a = np.asarray(matrix, dtype=float)
-    parts = _check_partition(a, blocks)
-    for bi in parts:
-        for bj in parts:
-            sums = a[np.ix_(bi, bj)].sum(axis=1)
-            if float(sums.max() - sums.min()) > _EQUITABLE_TOL:
-                return False
-    return True
+    parts, w = _block_sums(np.asarray(matrix, dtype=float), blocks)
+    return not any(float(np.ptp(w[p], axis=0).max()) > _EQUITABLE_TOL for p in parts)
 
 
 def quotient_spectrum(matrix, blocks) -> Spectrum:
     """Eigenvalues of the quotient matrix of a symmetric ``matrix``.
 
     The quotient itself is not symmetric, but scaling by the square
-    roots of the block sizes is a similarity onto a symmetric matrix,
-    so the symmetric solver applies.
+    roots of the block sizes is a similarity onto the symmetric matrix
+    S_ij / sqrt(|b_i| |b_j|), S_ij the total weight between blocks i and
+    j, so the symmetric solver applies.
     """
     a = np.asarray(matrix, dtype=float)
-    parts = _check_partition(a, blocks)
-    q = quotient_matrix(a, parts)
+    parts, w = _block_sums(a, blocks)
     scale = float(np.linalg.norm(a))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * max(1.0, scale):
         raise DomainError("matrix must be symmetric")
-    d = np.sqrt(np.array([len(p) for p in parts], dtype=float))
-    sym = q * d[:, None] / d[None, :]
-    sym = (sym + sym.T) / 2.0
-    return full_spectrum(sym)
+    sums = np.array([w[p].sum(axis=0) for p in parts])
+    sizes = np.array([len(p) for p in parts], dtype=float)
+    sym = sums / np.sqrt(np.outer(sizes, sizes))
+    return full_spectrum((sym + sym.T) / 2.0)
 
 
 def quotient_radius_check(g: Graph, blocks) -> tuple[float, float]:
@@ -269,7 +264,7 @@ def quotient_radius_check(g: Graph, blocks) -> tuple[float, float]:
     equitable partition of ``g``; the two agree for equitable partitions.
     Rejects non-equitable partitions."""
     a = adjacency_matrix(g)
-    parts = _check_partition(a, blocks)
+    parts = [list(b) for b in blocks]
     if not is_equitable(a, parts):
         raise DomainError("partition is not equitable")
     lam = spectral_radius(g)

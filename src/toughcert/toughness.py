@@ -261,6 +261,9 @@ def is_one_over_t_tough(g: Graph, t) -> tuple[bool, tuple[int, ...] | None]:
     violating cut in (size, lexicographic) scan order.
     """
     _check_input(g)
+    # Fraction(True) == 1 would answer for t = 1
+    if isinstance(t, bool):
+        raise DomainError("t must be an integer or a Fraction, not a bool")
     frac = Fraction(t)
     if frac <= 0:
         raise DomainError("t must be positive")

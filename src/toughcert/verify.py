@@ -122,7 +122,8 @@ def _round12(x: float) -> float:
     return float(f"{float(x):.12g}")
 
 
-# the scans ask for a few orders, once per graph they build
+# the mask codec, the per-order tables and C7's random graphs ask for a
+# few orders, each many times
 @lru_cache(maxsize=64)
 def _edge_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
@@ -867,6 +868,35 @@ def verify_join_maximizer(n: int, s: int, c: int) -> VerificationSummary:
     )
 
 
+def _maximizer_grid(n_max: int, s_max: int, c_max: int) -> list[VerificationSummary]:
+    """``verify_join_maximizer`` over s_max + c_max <= n <= n_max,
+    1 <= s <= s_max and 1 <= c <= c_max, n outermost.  An empty grid is
+    a ``DomainError``."""
+    if s_max < 1 or c_max < 1 or n_max < s_max + c_max:
+        raise DomainError("need s_max >= 1, c_max >= 1 and n_max >= s_max + c_max")
+    return [
+        verify_join_maximizer(n, s, c)
+        for n in range(s_max + c_max, n_max + 1)
+        for s in range(1, s_max + 1)
+        for c in range(1, c_max + 1)
+    ]
+
+
+def _join_family(s_max: int, t_max: int, n_max: int):
+    """(s, t, n, K_s v (K_{n-ts-s} u tsK1)) for 1 <= s <= s_max,
+    1 <= t <= t_max and ts + s + 1 <= n <= n_max, in that loop order.
+    An empty grid is a ``DomainError``, raised before any graph is
+    built."""
+    if s_max < 1 or t_max < 1 or n_max < 3:
+        raise DomainError("need s_max >= 1, t_max >= 1 and n_max >= 3")
+    return (
+        (s, t, n, build_join_cliques(JoinCliqueSpec(s, (n - t * s - s,) + (1,) * (t * s))))
+        for s in range(1, s_max + 1)
+        for t in range(1, t_max + 1)
+        for n in range(t * s + s + 1, n_max + 1)
+    )
+
+
 def verify_quotient_embedding(
     s_max: int = 4,
     t_max: int = 4,
@@ -875,47 +905,40 @@ def verify_quotient_embedding(
     """For the join family K_s v (K_{n-ts-s} u tsK1) under its three
     orbit blocks: the partition is equitable, the quotient's largest
     eigenvalue equals the graph's, and (on small orders) every quotient
-    eigenvalue already occurs in the full spectrum."""
+    eigenvalue already occurs in the full spectrum.  An empty (s, t, n)
+    grid is a ``DomainError``."""
     started = time.perf_counter()
     failures: list[dict] = []
     checked = 0
-    for s in range(1, s_max + 1):
-        for t in range(1, t_max + 1):
-            for n in range(t * s + s + 1, n_max + 1):
-                shape = (n - t * s - s,) + (1,) * (t * s)
-                g = build_join_cliques(JoinCliqueSpec(s, shape))
-                blocks = [
-                    list(range(s)),
-                    list(range(s, n - t * s)),
-                    list(range(n - t * s, n)),
-                ]
-                a = adjacency_matrix(g)
-                checked += 1
-                base = {"check": "quotient-embedding", "n": n, "s": s, "t": t}
-                if not is_equitable(a, blocks):
+    for s, t, n, g in _join_family(s_max, t_max, n_max):
+        blocks = [list(range(s)), list(range(s, n - t * s)), list(range(n - t * s, n))]
+        a = adjacency_matrix(g)
+        checked += 1
+        base = {"check": "quotient-embedding", "n": n, "s": s, "t": t}
+        if not is_equitable(a, blocks):
+            failures.append(
+                {**base, "kind": "not-equitable",
+                 "detail": "orbit partition failed the equitability test"}
+            )
+            continue
+        lam = spectral_radius(g)
+        qspec = quotient_spectrum(a, blocks)
+        if abs(lam - qspec.radius) > _QUOTIENT_EPS:
+            failures.append(
+                {**base, "kind": "quotient-radius",
+                 "lambda1": _round12(lam),
+                 "quotient_lambda1": _round12(qspec.radius),
+                 "detail": "quotient and graph disagree on the largest eigenvalue"}
+            )
+        if n <= 12:
+            full = full_spectrum(a).values
+            for q in qspec.values:
+                if min(abs(q - x) for x in full) > _QUOTIENT_EPS:
                     failures.append(
-                        {**base, "kind": "not-equitable",
-                         "detail": "orbit partition failed the equitability test"}
+                        {**base, "kind": "eigenvalue-embedding",
+                         "quotient_value": _round12(q),
+                         "detail": "quotient eigenvalue missing from the spectrum"}
                     )
-                    continue
-                lam = spectral_radius(g)
-                qspec = quotient_spectrum(a, blocks)
-                if abs(lam - qspec.radius) > _QUOTIENT_EPS:
-                    failures.append(
-                        {**base, "kind": "quotient-radius",
-                         "lambda1": _round12(lam),
-                         "quotient_lambda1": _round12(qspec.radius),
-                         "detail": "quotient and graph disagree on the largest eigenvalue"}
-                    )
-                if n <= 12:
-                    full = full_spectrum(a).values
-                    for q in qspec.values:
-                        if min(abs(q - x) for x in full) > _QUOTIENT_EPS:
-                            failures.append(
-                                {**base, "kind": "eigenvalue-embedding",
-                                 "quotient_value": _round12(q),
-                                 "detail": "quotient eigenvalue missing from the spectrum"}
-                            )
     return VerificationSummary(
         check="quotient-embedding",
         scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": _QUOTIENT_EPS},
@@ -926,27 +949,12 @@ def verify_quotient_embedding(
 
 
 def _random_connected(rng: random.Random, n: int) -> Graph:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     while True:
         p = rng.uniform(0.3, 0.9)
-        edges = [e for e in pairs if rng.random() < p]
+        edges = [e for e in _edge_order(n) if rng.random() < p]
         g = from_edges(n, edges)
         if is_connected(g):
             return g
-
-
-def _delete_vertex(g: Graph, v: int) -> Graph:
-    keep = [u for u in range(g.n) if u != v]
-    relabel = {u: i for i, u in enumerate(keep)}
-    edges = [
-        (relabel[a], relabel[b]) for (a, b) in g.edges() if a != v and b != v
-    ]
-    return from_edges(g.n - 1, edges)
-
-
-def _delete_edge(g: Graph, u: int, v: int) -> Graph:
-    edges = [(a, b) for (a, b) in g.edges() if (a, b) != (u, v)]
-    return from_edges(g.n, edges)
 
 
 def verify_subgraph_monotonicity(
@@ -958,7 +966,9 @@ def verify_subgraph_monotonicity(
     Randomized but fully determined by ``seed``.  The deletions that
     keep the graph connected are found on its rows, one ``_reach`` each:
     with the edge's two bits cleared, or with the vertex left out of the
-    vertices searched.  Only the chosen subgraph is built."""
+    vertices searched.  Only the chosen subgraph is built, on the rows
+    too: an edge deletion clears its two bits, and a vertex deletion
+    drops the vertex's row and squeezes its bit out of the others."""
     _check_int(trials, "need at least one trial")
     started = time.perf_counter()
     rng = random.Random(seed)
@@ -979,10 +989,15 @@ def verify_subgraph_monotonicity(
             if _reach(g.adj, rest & -rest, rest) == rest:
                 options.append(("vertex", v))
         choice = rng.choice(options)
+        rows = list(g.adj)
         if choice[0] == "edge":
-            h = _delete_edge(g, choice[1], choice[2])
+            rows[choice[1]] ^= 1 << choice[2]
+            rows[choice[2]] ^= 1 << choice[1]
         else:
-            h = _delete_vertex(g, choice[1])
+            v = choice[1]
+            low = (1 << v) - 1
+            rows = [(r & low) | (r >> (v + 1) << v) for r in rows[:v] + rows[v + 1:]]
+        h = Graph(len(rows), tuple(rows))
         lam_g = spectral_radius(g)
         lam_h = spectral_radius(h)
         if not lam_g > lam_h + _MONOTONICITY_MARGIN:
@@ -1026,74 +1041,73 @@ def verify_threshold_identities(
     * for s = 1 the root is the certification threshold itself, and for
       s >= 2 it sits strictly below it with the certification cubic
       negative there.
+
+    An empty grid is a ``DomainError``.
     """
     started = time.perf_counter()
     failures: list[dict] = []
     checked = 0
-    for s in range(1, s_max + 1):
-        for t in range(1, t_max + 1):
-            for n in range(t * s + s + 1, n_max + 1):
-                checked += 1
-                base = {"check": "threshold-identities", "n": n, "s": s, "t": t}
-                qc = quotient_cubic(s, t, n)
-                root, _ = qc.largest_root_in(0.0, float(n - 1))
-                shape = (n - t * s - s,) + (1,) * (t * s)
-                lam = spectral_radius(build_join_cliques(JoinCliqueSpec(s, shape)))
-                if abs(root - lam) > _IDENTITIES_EPS:
-                    failures.append(
-                        {**base, "kind": "quotient-root",
-                         "root": _round12(root), "lambda1": _round12(lam),
-                         "detail": "cubic root missed the join-family eigenvalue"}
-                    )
-                cert = threshold_cubic(t, n)
-                for x in (0.0, 1.0, n / 3.0, n / 2.0, float(n - 1), root):
-                    lhs = cert(x) - qc(x)
-                    rhs = (s - 1) * gap_factor(s, t, n, x)
-                    scale = max(1.0, abs(lhs), abs(rhs))
-                    if abs(lhs - rhs) > _IDENTITIES_EPS * scale:
-                        failures.append(
-                            {**base, "kind": "gap-identity", "x": _round12(x),
-                             "detail": "cubic difference disagrees with its factored form"}
-                        )
-                if gap_factor(s, t, n, root) > gap_bound(s, t, root) + _IDENTITIES_EPS:
-                    failures.append(
-                        {**base, "kind": "gap-bound",
-                         "detail": "gap factor exceeded its order-free bound"}
-                    )
-                split = complete_split_radius(s, t)
-                if root < split - _IDENTITIES_EPS:
-                    failures.append(
-                        {**base, "kind": "root-ordering",
-                         "root": _round12(root), "split": _round12(split),
-                         "detail": "root fell below the complete-split value"}
-                    )
-                if n > t * s + s + 1 and not root > split:
-                    failures.append(
-                        {**base, "kind": "root-ordering-strict",
-                         "root": _round12(root), "split": _round12(split),
-                         "detail": "root not strictly above the complete-split value"}
-                    )
-                eta = threshold(t, n).value
-                if s == 1:
-                    if abs(root - eta) > _IDENTITIES_EPS:
-                        failures.append(
-                            {**base, "kind": "s1-coincidence",
-                             "root": _round12(root), "threshold": _round12(eta),
-                             "detail": "s = 1 root differs from the certification threshold"}
-                        )
-                else:
-                    if not cert(root) < 0.0:
-                        failures.append(
-                            {**base, "kind": "cubic-sign",
-                             "value": _round12(cert(root)),
-                             "detail": "certification cubic not negative at the root"}
-                        )
-                    if not root < eta:
-                        failures.append(
-                            {**base, "kind": "root-below-threshold",
-                             "root": _round12(root), "threshold": _round12(eta),
-                             "detail": "root failed to sit below the threshold"}
-                        )
+    for s, t, n, g in _join_family(s_max, t_max, n_max):
+        checked += 1
+        base = {"check": "threshold-identities", "n": n, "s": s, "t": t}
+        qc = quotient_cubic(s, t, n)
+        root, _ = qc.largest_root_in(0.0, float(n - 1))
+        lam = spectral_radius(g)
+        if abs(root - lam) > _IDENTITIES_EPS:
+            failures.append(
+                {**base, "kind": "quotient-root",
+                 "root": _round12(root), "lambda1": _round12(lam),
+                 "detail": "cubic root missed the join-family eigenvalue"}
+            )
+        cert = threshold_cubic(t, n)
+        for x in (0.0, 1.0, n / 3.0, n / 2.0, float(n - 1), root):
+            lhs = cert(x) - qc(x)
+            rhs = (s - 1) * gap_factor(s, t, n, x)
+            scale = max(1.0, abs(lhs), abs(rhs))
+            if abs(lhs - rhs) > _IDENTITIES_EPS * scale:
+                failures.append(
+                    {**base, "kind": "gap-identity", "x": _round12(x),
+                     "detail": "cubic difference disagrees with its factored form"}
+                )
+        if gap_factor(s, t, n, root) > gap_bound(s, t, root) + _IDENTITIES_EPS:
+            failures.append(
+                {**base, "kind": "gap-bound",
+                 "detail": "gap factor exceeded its order-free bound"}
+            )
+        split = complete_split_radius(s, t)
+        if root < split - _IDENTITIES_EPS:
+            failures.append(
+                {**base, "kind": "root-ordering",
+                 "root": _round12(root), "split": _round12(split),
+                 "detail": "root fell below the complete-split value"}
+            )
+        if n > t * s + s + 1 and not root > split:
+            failures.append(
+                {**base, "kind": "root-ordering-strict",
+                 "root": _round12(root), "split": _round12(split),
+                 "detail": "root not strictly above the complete-split value"}
+            )
+        eta = threshold(t, n).value
+        if s == 1:
+            if abs(root - eta) > _IDENTITIES_EPS:
+                failures.append(
+                    {**base, "kind": "s1-coincidence",
+                     "root": _round12(root), "threshold": _round12(eta),
+                     "detail": "s = 1 root differs from the certification threshold"}
+                )
+        else:
+            if not cert(root) < 0.0:
+                failures.append(
+                    {**base, "kind": "cubic-sign",
+                     "value": _round12(cert(root)),
+                     "detail": "certification cubic not negative at the root"}
+                )
+            if not root < eta:
+                failures.append(
+                    {**base, "kind": "root-below-threshold",
+                     "root": _round12(root), "threshold": _round12(eta),
+                     "detail": "root failed to sit below the threshold"}
+                )
     return VerificationSummary(
         check="threshold-identities",
         scope={"s_max": s_max, "t_max": t_max, "n_max": n_max, "eps": _IDENTITIES_EPS},

@@ -345,6 +345,27 @@ def test_verify_theorem_cli_range_stdout(capsys):
     assert [s["scope"]["n"] for s in summaries] == [4, 5]
 
 
+def test_verify_theorem_cli_writes_each_order_before_the_next_scan(capsys, monkeypatch):
+    # a reader sees each order's report as soon as that order is done
+    events = []
+    scan, write = toughcert.cli.verify_theorem, toughcert.cli.write_report
+
+    def scanning(n, *args, **kwargs):
+        events.append(f"scan {n}")
+        return scan(n, *args, **kwargs)
+
+    def writing(summary, stream):
+        events.append("write")
+        write(summary, stream)
+
+    monkeypatch.setattr(toughcert.cli, "verify_theorem", scanning)
+    monkeypatch.setattr(toughcert.cli, "write_report", writing)
+    assert run(["verify-theorem", "--t", "1", "--n", "3", "--n-max", "5"]) == 0
+    assert events == ["scan 3", "write", "scan 4", "write", "scan 5", "write"]
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["n=3 t=1", "n=4 t=1", "n=5 t=1"]
+
+
 def test_verify_theorem_cli_failure_exit_1(capsys, monkeypatch):
     # a threshold far below the true one puts non-tough graphs above it,
     # so the run must report failures and exit 1
@@ -384,6 +405,19 @@ def test_verify_lemmas_cli_identities(capsys):
     closing = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert closing["check"] == "threshold-identities"
     assert closing["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "quotient", "--q-n-max", "2"],
+    ["--suite", "identities", "--i-n-max", "2"],
+    ["--suite", "maximizer", "--n-max", "3"],
+    ["--suite", "maximizer", "--s-max", "0"],
+])
+def test_verify_lemmas_empty_grid_exit_3(argv, capsys):
+    assert run(["verify-lemmas", *argv]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
 
 
 def _fresh_process(*args: str) -> subprocess.CompletedProcess:

@@ -358,6 +358,28 @@ def test_quotient_routines_read_blocks_once():
         assert quotient_radius_check(g, form()) == want_check, name
 
 
+def test_quotient_routines_match_the_block_pair_loops():
+    # reference: one a[np.ix_(bi, bj)] sum per pair of blocks.  On a 0/1
+    # matrix both routes sum exact integers, so the quotients are equal
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        a = adjacency_matrix(random_graph(rng, n, rng.uniform(0.2, 0.9)))
+        labels = [rng.randrange(rng.randint(1, n)) for _ in range(n)]
+        blocks = [[v for v in range(n) if labels[v] == b] for b in sorted(set(labels))]
+        pair_sums = [[a[np.ix_(bi, bj)].sum(axis=1) for bj in blocks] for bi in blocks]
+        want = np.array([[float(x.sum()) / len(x) for x in row] for row in pair_sums])
+        assert np.array_equal(quotient_matrix(a, blocks), want)
+        equitable = all(x.max() == x.min() for row in pair_sums for x in row)
+        assert is_equitable(a, blocks) == equitable
+        verdicts.add(equitable)
+        raw = sorted(np.linalg.eigvals(want).real, reverse=True)
+        got = quotient_spectrum(a, blocks).values
+        assert max(abs(x - y) for x, y in zip(got, raw)) <= 1e-9 * n
+    assert verdicts == {True, False}
+
+
 def test_quotient_eigenvalues_embed_in_spectrum():
     for t, n in [(1, 5), (2, 6), (2, 8)]:
         g = build_extremal(t, n)

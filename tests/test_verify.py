@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from toughcert import (
     build_extremal,
     certify,
     complete,
+    components_after_removal,
     disjoint_union,
     empty,
     from_edges,
@@ -49,6 +51,7 @@ from toughcert.verify import (
     _isolation_term,
     _level_rows,
     _level_table,
+    _maximizer_grid,
     _partitions_desc,
     _scan_chunk,
     _scan_tables,
@@ -956,9 +959,34 @@ def test_bool_order_or_count_is_rejected():
         lambda: from_edges(2.0, []),
         lambda: graph_from_mask(True, 0),
         lambda: verify_subgraph_monotonicity(trials=True),
+        # these two also take vertex sets and Fractions, so only the bool
+        # is refused: True read as vertex 0, and as t = 1
+        lambda: components_after_removal(build_extremal(1, 4), True),
+        lambda: is_one_over_t_tough(build_extremal(1, 4), True),
     ):
         with pytest.raises(DomainError):
             call()
+
+
+def test_empty_lemma_grids_are_domain_errors():
+    # a grid with no member would report ok having checked nothing
+    for call in (
+        lambda: verify_quotient_embedding(n_max=2),
+        lambda: verify_quotient_embedding(s_max=0),
+        lambda: verify_threshold_identities(t_max=0),
+        lambda: verify_threshold_identities(n_max=2),
+        lambda: _maximizer_grid(3, 3, 4),
+        lambda: _maximizer_grid(12, 0, 4),
+        lambda: _maximizer_grid(12, 3, 0),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # the smallest grids hold one member each
+    assert verify_quotient_embedding(1, 1, 3).counts == {"partitions": 1}
+    assert verify_threshold_identities(1, 1, 3).counts == {"combinations": 1}
+    assert [m.scope for m in _maximizer_grid(2, 1, 1)] == [
+        {"n": 2, "s": 1, "c": 1, "eps": 1e-9}
+    ]
 
 
 def test_verify_quotient_embedding():
@@ -974,6 +1002,42 @@ def test_verify_subgraph_monotonicity_deterministic():
     assert report_lines(a) == report_lines(b)
     with pytest.raises(DomainError):
         verify_subgraph_monotonicity(trials=0)
+
+
+def test_monotonicity_subgraphs_are_the_deletions_they_claim(monkeypatch):
+    # no report shows the subgraph while every trial passes, so the pins
+    # cannot see a wrong one: record each (g, h) pair and each deletion
+    # the suite draws, and rebuild h from g's edge list
+    radii, choices = [], []
+
+    def recording_radius(g, **kw):
+        radii.append(g)
+        return spectral_radius(g, **kw)
+
+    class RecordingRandom(random.Random):
+        def choice(self, seq):
+            picked = super().choice(seq)
+            choices.append(picked)
+            return picked
+
+    monkeypatch.setattr(toughcert.verify, "spectral_radius", recording_radius)
+    monkeypatch.setattr(toughcert.verify, "random", SimpleNamespace(Random=RecordingRandom))
+    summary = verify_subgraph_monotonicity(trials=60, seed=99)
+    assert summary.ok
+    assert len(radii) == 2 * len(choices) == 120
+    assert {c[0] for c in choices} == {"edge", "vertex"}
+    for g, h, choice in zip(radii[::2], radii[1::2], choices):
+        edges = list(g.edges())
+        if choice[0] == "edge":
+            assert choice[1:] in edges
+            want = from_edges(g.n, [e for e in edges if e != choice[1:]])
+        else:
+            v = choice[1]
+            want = from_edges(
+                g.n - 1, [(a - (a > v), b - (b > v)) for a, b in edges if v not in (a, b)]
+            )
+        assert h == want, (to_graph6(g), choice)
+        assert is_connected(h)
 
 
 def test_verify_threshold_identities_small_grid():
