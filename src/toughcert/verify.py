@@ -4,40 +4,45 @@
 reports a verdict.  ``verify_theorem`` checks the condition against
 every connected labeled graph of a small order by exhaustive scan:
 graphs are integers (one bit per vertex pair), never decoded, and
-component counts come from precomputed tables indexed by edge mask,
-applied to whole mask ranges at once.  Every count and level comes from
-one split at vertex 0: an order-r mask is N | sub << (r - 1), with N
-vertex 0's neighbour set and sub the mask of G - 0, so the masks of one
-sub form a row with one column per N.  A clique on N joins N into one
-component as vertex 0 does, so c_r(mask) = c_{r-1}(sub | clique[N]) +
-(N == 0).  The cuts S give each graph one toughness level, the largest
-floor((c(G - S) - 1) / |S|): the graph fails 1/t-toughness iff its level
-is at least t.  Cuts that hold vertex 0 read the order-(r - 1) level
-table, with one more vertex deleted, at sub; cuts that leave it a
-neighbour read that table at sub | clique[N]; and cuts that hold all of
-N, isolating vertex 0, read the order-(r - 1) component table.
-One reader per quantity applies the split to a set of rows.  Up to
-order 7 the readers build one table per order and process over every
-row, the level table for cuts of up to (n - 1) // 2 vertices: larger
-cuts read level 0, so the table answers every t.  A scan chunk is a
-contiguous mask range: up to order 7 its connectivity and levels are
-table slices, and at order 8 the readers run over the rows that cover
-it, reading the order-7 tables.  It lists only the masks of
-the graphs that fail toughness.  The sharpness examples are not
+connectivity and toughness levels come from precomputed tables indexed
+by edge mask, applied to whole mask ranges at once.  Every count and
+level comes from one split at vertex 0: an order-r mask is
+N | sub << (r - 1), with N vertex 0's neighbour set and sub the mask of
+G - 0, so the masks of one sub form a row with one column per N.  A
+clique on N joins N into one component as vertex 0 does, so
+c_r(mask) = c_{r-1}(sub | clique[N]) + (N == 0).  The cuts S give each
+graph one toughness level, the largest floor((c(G - S) - 1) / |S|): the
+graph fails 1/t-toughness iff its level is at least t.  Cuts that hold
+vertex 0 read the order-(r - 1) level table, with one more vertex
+deleted, at sub; cuts that leave it a neighbour read that table at
+sub | clique[N]; and cuts that hold all of N, isolating vertex 0, read
+the order-(r - 1) component table.  One reader per quantity applies the
+split to a set of rows.  Up to order 7 the readers build one table per
+order and process over every row, the level table for cuts of up to
+(n - 1) // 2 vertices: larger cuts read level 0, so the table answers
+every t.  The scan's level table packs connectivity in, one byte per
+mask: 0 for a disconnected graph and level + 1 for a connected one, the
+connectivity taken from the same read at sub | clique[N] as the level.
+A scan chunk is a contiguous mask range (2^17 masks by default): up to
+order 7 its packed bytes are a table slice, and at order 8 the level
+reader runs over the rows that cover it, reading the order-7 tables.
+It counts the nonzero bytes and lists only the masks whose byte exceeds
+t, the graphs that fail toughness.  The sharpness examples are not
 searched for: the masks of all their labelings are built once per
-(n, t) from the pairs each vertex avoids and located among those
-masks; a labeling missing there came out tough.  Edge counts are
-popcounts of those masks (and, for curiosities, of the tough ones), and
-degrees are counted only for the graphs the edge count leaves
-undecided.  The spectral side only solves eigenproblems for graphs
-whose cheap degree/edge bounds cannot already separate them from the
-threshold, in one batched call.  The scan builds no ``Graph``: one pair
-table per order sends each mask bit to its two adjacency cells and to
-its graph6 position, so the eigensolves' matrices and the graph6 strings
-of the listed graphs both come straight from the mask bits, the strings
-through the encoder ``to_graph6`` uses.  What does not depend on the
-chunk (the pair table, the bound tables of each band, the masks of the
-pairs at each vertex) is built once per process.
+(n, t) from the pairs each vertex avoids, and each is decided by its
+packed byte; one that reads tough came out tough.  Edge counts are
+popcounts of the listed masks (and, for curiosities, of the tough
+ones), and degrees are counted only for the graphs the edge count
+leaves undecided, both compared with integer windows.  The spectral
+side only solves eigenproblems for graphs whose cheap degree/edge
+bounds cannot already separate them from the threshold, in one batched
+call.  The scan builds no ``Graph``: one pair table per order sends each
+mask bit to its two adjacency cells and to its graph6 position, so the
+eigensolves' matrices and the graph6 strings of the listed graphs both
+come straight from the mask bits, the strings through the encoder
+``to_graph6`` uses.  What does not depend on the chunk (the pair table,
+the bound windows of each band, the masks of the pairs at each vertex)
+is built once per process.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -317,12 +322,17 @@ def write_report(summary: VerificationSummary, stream) -> None:
 
 # Component and level tables go up to order _TABLE_ORDER: 2^21 uint8
 # entries (2 MB) each at order 7, where order 8 would need 2^28
-# (256 MB).  Every mask pass (the tables, the scan's default chunk,
-# enumeration) takes _TABLE_BLOCK masks at a time, which keeps each
-# int64 temporary at 512 KB.  A level read also holds one uint8 term
-# per neighbour set of vertex 0 and row: 2 MB for the order-7 table.
+# (256 MB).  The table builds and enumeration take _TABLE_BLOCK masks at
+# a time, which keeps each int64 temporary at 512 KB.  A level read
+# also holds one uint8 term per neighbour set of vertex 0 and row: 2 MB
+# for the order-7 table.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
+# The scan's default chunk: 16 chunks at order 7 and 2048 at order 8.
+# A chunk has a fixed cost of tens of microseconds beside its
+# per-mask work, and its int64 temporaries (the listed masks) stay
+# within 1 MB.
+_SCAN_CHUNK = 1 << 17
 # above the table order the scan splits off vertex 0 once and reads the
 # order-7 tables, so order 8 is the largest it can reach
 _SCAN_MAX = _TABLE_ORDER + 1
@@ -395,7 +405,9 @@ def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
     """Toughness levels (uint8) of the order-``r`` masks
     N | sub << (r - 1), for sub in the int64 order-(r - 1) masks ``rows``
     and every neighbour set N of vertex 0, one row per sub, counted as
-    ``_level_table(r, deleted)`` counts them.
+    ``_level_table(r, deleted)`` counts them.  With nothing deleted each
+    level comes packed with connectivity: 0 for a disconnected graph,
+    level + 1 for a connected one.
 
     A cut S is one of three kinds.  A cut that holds vertex 0 is a cut
     of sub with one more vertex deleted, under the same n and cap:
@@ -409,12 +421,21 @@ def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
     level is floor(c(sub - S) / (|S| + d)) over the cuts S >= N of sub,
     with c(sub - S) = c_{r-1}(sub & avoid(S)) - |S|.  That is one term
     per S over every row, then a largest-superset pass, one vertex at a
-    time, in the layout (N, sub), which transposed starts the rows."""
+    time, in the layout (N, sub), which transposed starts the rows.
+
+    The packed read of L(r - 1, 0) at sub | clique[N] is also the
+    connectivity: for N != 0 the graph has c_{r-1}(sub | clique[N])
+    components, so it is connected exactly where that read is nonzero,
+    and the one graph of a row with N = 0 has vertex 0 isolated.  The
+    level of a disconnected graph is never read, so nothing is lost."""
     width = 1 << (r - 1)
     cap = (r + deleted - 1) // 2
-    # no cut of 1..cap vertices holds every deleted one: level 0 (order 1)
-    if cap < max(deleted, 1):
+    # no cut of 1..cap vertices holds every deleted one: level 0
+    if cap < deleted:
         return np.zeros((rows.size, width), dtype=np.uint8)
+    # K1, packed: connected, level 0
+    if r == 1:
+        return np.ones((rows.size, 1), dtype=np.uint8)
     avoid = np.array([_pairs_avoiding(r - 1, v) for v in range(r - 1)], dtype=np.int64)
     isolating = np.zeros((width, rows.size), dtype=np.uint8)
     for size in range(max(1 - deleted, 0), cap - deleted + 1):
@@ -425,15 +446,23 @@ def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
     for v in range(r - 1):
         pairs = isolating.reshape(width >> (v + 1), 2, 1 << v, rows.size)
         np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
-    out = isolating.T.copy()
+    out = np.empty((rows.size, width), dtype=np.uint8)
     lower = _level_table(r - 1, deleted)
     inner = _level_table(r - 1, deleted + 1)
     clique = _clique(r)
     step = _TABLE_BLOCK // width
     for k in range(0, rows.size, step):
         block = out[k:k + step]
-        np.maximum(block, np.take(lower, rows[k:k + step, None] | clique), out=block)
-        np.maximum(block, inner[rows[k:k + step], None], out=block)
+        np.maximum(isolating[:, k:k + step].T, inner[rows[k:k + step], None], out=block)
+        below = np.take(lower, rows[k:k + step, None] | clique)
+        if deleted:
+            np.maximum(block, below, out=block)
+        else:
+            block += 1
+            np.maximum(block, below, out=block)
+            block *= below != 0
+    if not deleted:
+        out[:, 0] = 0
     return out
 
 
@@ -448,10 +477,12 @@ def _level_table(r: int, deleted: int = 0) -> np.ndarray:
     least t.  Since c(G - S) <= n - |S|, a cut of more than
     cap = (n - 1) // 2 vertices reads level 0, so cuts of 1..cap vertices
     (the t = 1 cap) give every level exactly and the one table answers
-    every t.  The scan reads ``deleted`` 0 up to order 7; the order-8
-    rows and the recursion read the tables one order down, with one
-    more vertex deleted too.  ``_level_rows`` over every row, built once
-    per process."""
+    every t.  With ``deleted`` 0 each entry is packed as
+    ``_level_rows`` packs it: 0 for a disconnected graph, level + 1 for
+    a connected one.  The scan reads ``deleted`` 0 up to order 7; the
+    order-8 rows and the recursion read the tables one order down, with
+    one more vertex deleted too.  ``_level_rows`` over every row, built
+    once per process."""
     rows = np.arange(1 << ((r - 1) * (r - 2) // 2), dtype=np.int64)
     return _level_rows(r, deleted, rows).reshape(-1)
 
@@ -475,18 +506,17 @@ def _connected(n: int, lo: int, hi: int) -> np.ndarray:
     return _comps_rows(n, rows).reshape(-1)[part] == 1
 
 
-def _scan_tables(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(conn, level) over the order-``n`` edge masks [lo, hi): whether
-    each graph is connected, and its toughness level, read as
-    ``_connected`` reads connectivity.  An empty range builds exactly
-    the tables that a range reads."""
-    # the level build reads no component table of its order: it goes first
+def _scan_tables(n: int, lo: int, hi: int) -> np.ndarray:
+    """The packed levels (uint8: 0 for a disconnected graph, toughness
+    level + 1 for a connected one) of the order-``n`` edge masks
+    [lo, hi): a slice of the level table up to the table order, of the
+    level rows that cover the range above it.  A slice is a view of the
+    per-process table.  An empty range builds exactly the tables that a
+    range reads."""
     if n <= _TABLE_ORDER:
-        level = _level_table(n)[lo:hi]
-    else:
-        rows, part = _span(n, lo, hi)
-        level = _level_rows(n, 0, rows).reshape(-1)[part]
-    return _connected(n, lo, hi), level
+        return _level_table(n)[lo:hi]
+    rows, part = _span(n, lo, hi)
+    return _level_rows(n, 0, rows).reshape(-1)[part]
 
 
 @lru_cache(maxsize=None)
@@ -533,28 +563,43 @@ def _incident_pairs(n: int) -> np.ndarray:
     return _kept(np.array([[everything ^ _pairs_avoiding(n, v)] for v in range(n)], dtype=np.int64))
 
 
+def _window(inside: np.ndarray) -> tuple[int, int]:
+    """(first, last) index where the bool array ``inside`` holds, as
+    Python ints, or the empty window (1, 0).  Over an interval that is
+    the interval; over anything else it is wider, which only leaves
+    more graphs to an eigensolve."""
+    where = np.flatnonzero(inside).tolist()
+    return (where[0], where[-1]) if where else (1, 0)
+
+
 @lru_cache(maxsize=64)
-def _bound_tables(n: int, low: float, high: float) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the cheap bounds on the largest eigenvalue of an order-``n``
-    graph leave it possibly in [``low``, ``high``], tabulated over the
-    edge count m and over the max degree d: the upper bounds
-    sqrt(2m - n + 1) and d both reach ``low``, and the lower bounds 2m/n
-    and sqrt(d) both stay within ``high``.  A scan asks for two bands per
-    (n, t), so the tables are built once per band, not per chunk."""
+def _bound_windows(n: int, low: float, high: float) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Where the cheap bounds on the largest eigenvalue of an order-``n``
+    graph leave it possibly in [``low``, ``high``], as a window of edge
+    counts m and one of max degrees d: the upper bounds sqrt(2m - n + 1)
+    and d both reach ``low``, and the lower bounds 2m/n and sqrt(d) both
+    stay within ``high``.  Each bound is monotone in m or d, so each
+    tabulated condition is an interval.  The windows hold Python ints:
+    numpy compares a uint8 popcount with them as uint8, where an
+    ``np.int64`` would promote the whole array to int64.  A scan asks for
+    two bands per (n, t), so the windows are built once per band, not
+    per chunk."""
     m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
     by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
     d = np.arange(n, dtype=np.float64)
     by_degree = (d >= low) & (np.sqrt(d) <= high)
-    return _kept(by_edges), _kept(by_degree)
+    return _window(by_edges), _window(by_degree)
 
 
 def _undecided(n: int, masks: np.ndarray, low: float, high: float = math.inf) -> np.ndarray:
     """Those of the int64 edge ``masks`` whose cheap bounds leave the
-    largest eigenvalue possibly in [``low``, ``high``] (``_bound_tables``);
+    largest eigenvalue possibly in [``low``, ``high``] (``_bound_windows``);
     degrees are counted only for graphs the edge count leaves in."""
-    by_edges, by_degree = _bound_tables(n, low, high)
-    masks = masks[by_edges[np.bitwise_count(masks)]]
-    return masks[by_degree[np.bitwise_count(masks & _incident_pairs(n)).max(axis=0)]]
+    (m_lo, m_hi), (d_lo, d_hi) = _bound_windows(n, low, high)
+    m = np.bitwise_count(masks)
+    masks = masks[(m >= m_lo) & (m <= m_hi)]
+    d = np.bitwise_count(masks & _incident_pairs(n)).max(axis=0)
+    return masks[(d >= d_lo) & (d <= d_hi)]
 
 
 @lru_cache(maxsize=None)
@@ -588,21 +633,20 @@ def _scan_chunk(args) -> dict:
     named = _extremal_masks(n, t)
     named = named[(named >= lo) & (named < hi)]
 
-    # connected graphs are those with one component; nothing is decoded.
-    # Exact toughness side: one toughness level per graph answers every
-    # t, read from the per-process level table.  Only the masks of the
-    # graphs that fail toughness are listed (those of the tough ones
-    # only for curiosities).
-    conn, level = _scan_tables(n, lo, hi)
-    ngraphs = int(np.count_nonzero(conn))
-    violated = np.flatnonzero(conn & (level >= t)) + lo
-    assert conn[named - lo].all(), "a sharpness labeling was not scanned"
-
-    # every labeling is connected, so one missing from the violated masks
-    # came out tough
-    sharp = np.searchsorted(violated, named)
-    exceptional = sharp < violated.size
-    exceptional[exceptional] = violated[sharp[exceptional]] == named[exceptional]
+    # nothing is decoded: one packed byte per graph, 0 if disconnected
+    # and toughness level + 1 if connected, answers every t, read from
+    # the per-process level table.  Only the masks of the graphs that
+    # fail toughness are listed (those of the tough ones only for
+    # curiosities).
+    packed = _scan_tables(n, lo, hi)
+    ngraphs = int(np.count_nonzero(packed))
+    failing = packed > t
+    # every labeling is connected, so one that reads tough came out
+    # tough; the others are exceptional, not spectral suspects
+    assert packed[named - lo].all(), "a sharpness labeling was not scanned"
+    exceptional = failing[named - lo]
+    failing[named[exceptional] - lo] = False
+    suspects = np.flatnonzero(failing) + lo
 
     failures: list[dict] = []
     incidents: list[dict] = []
@@ -642,7 +686,6 @@ def _scan_chunk(args) -> dict:
 
     # spectral side for graphs that fail toughness: the cheap upper
     # bounds rule most of them out without an eigensolve
-    suspects = np.delete(violated, sharp[exceptional])
     needs = _undecided(n, suspects, eta - eps_strict)
     bound_skips = suspects.size - needs.size
     lams = radii(needs)
@@ -667,7 +710,8 @@ def _scan_chunk(args) -> dict:
             )
 
     if log_curiosities:
-        near = _undecided(n, np.flatnonzero(conn & (level < t)) + lo, eta - eps_eq, eta + eps_eq)
+        tough = (packed > 0) & (packed <= t)
+        near = _undecided(n, np.flatnonzero(tough) + lo, eta - eps_eq, eta + eps_eq)
         lams = radii(near)
         listed = [k for k, lam in enumerate(lams) if abs(lam - eta) <= eps_eq]
         for k, g6 in zip(listed, _graph6_of_masks(n, near[listed])):
@@ -676,7 +720,7 @@ def _scan_chunk(args) -> dict:
                  "detail": "tough graph with eigenvalue at the threshold"}
             )
 
-    not_tough = int(violated.size)
+    not_tough = suspects.size + int(np.count_nonzero(exceptional))
     return {
         "lo": lo,
         "hi": hi,
@@ -716,7 +760,7 @@ def verify_theorem(
     eps_eq: float = 1e-9,
     eps_strict: float = 1e-9,
     log_curiosities: bool = False,
-    chunk_size: int = _TABLE_BLOCK,
+    chunk_size: int = _SCAN_CHUNK,
 ) -> VerificationSummary:
     """Check the sufficient condition against every connected labeled
     graph of order ``n`` for the given ``t``.
@@ -729,8 +773,11 @@ def verify_theorem(
     eigenvalues inside the ambiguity band are recorded as incidents.
     Both tolerances must be finite and nonnegative.  Orders above 8
     (``_SCAN_MAX``, one past the table order) raise ``SizeLimitError``.
-    ``workers`` must be a positive integer; no more processes are forked
-    than there are chunks or cores this process may run on.
+    The mask range is scanned in chunks of ``chunk_size`` masks
+    (default ``_SCAN_CHUNK``, 2^17: 16 chunks at order 7, 2048 at order
+    8); the report does not depend on it.  ``workers`` must be a
+    positive integer; no more processes are forked than there are
+    chunks or cores this process may run on.
     """
     started = time.perf_counter()
     # threshold checks t and n >= t + 2 first
@@ -870,8 +917,10 @@ def verify_join_maximizer(n: int, s: int, c: int) -> VerificationSummary:
 
 def _maximizer_grid(n_max: int, s_max: int, c_max: int) -> list[VerificationSummary]:
     """``verify_join_maximizer`` over s_max + c_max <= n <= n_max,
-    1 <= s <= s_max and 1 <= c <= c_max, n outermost.  An empty grid is
-    a ``DomainError``."""
+    1 <= s <= s_max and 1 <= c <= c_max, n outermost.  A bound that is
+    not an integer, or an empty grid, is a ``DomainError``."""
+    for bound in (n_max, s_max, c_max):
+        _check_int(bound, "n_max, s_max and c_max must be integers", -math.inf)
     if s_max < 1 or c_max < 1 or n_max < s_max + c_max:
         raise DomainError("need s_max >= 1, c_max >= 1 and n_max >= s_max + c_max")
     return [
@@ -885,8 +934,10 @@ def _maximizer_grid(n_max: int, s_max: int, c_max: int) -> list[VerificationSumm
 def _join_family(s_max: int, t_max: int, n_max: int):
     """(s, t, n, K_s v (K_{n-ts-s} u tsK1)) for 1 <= s <= s_max,
     1 <= t <= t_max and ts + s + 1 <= n <= n_max, in that loop order.
-    An empty grid is a ``DomainError``, raised before any graph is
-    built."""
+    A bound that is not an integer, or an empty grid, is a
+    ``DomainError``, raised before any graph is built."""
+    for bound in (s_max, t_max, n_max):
+        _check_int(bound, "s_max, t_max and n_max must be integers", -math.inf)
     if s_max < 1 or t_max < 1 or n_max < 3:
         raise DomainError("need s_max >= 1, t_max >= 1 and n_max >= 3")
     return (
@@ -905,8 +956,8 @@ def verify_quotient_embedding(
     """For the join family K_s v (K_{n-ts-s} u tsK1) under its three
     orbit blocks: the partition is equitable, the quotient's largest
     eigenvalue equals the graph's, and (on small orders) every quotient
-    eigenvalue already occurs in the full spectrum.  An empty (s, t, n)
-    grid is a ``DomainError``."""
+    eigenvalue already occurs in the full spectrum.  A bound that is not
+    an integer, or an empty (s, t, n) grid, is a ``DomainError``."""
     started = time.perf_counter()
     failures: list[dict] = []
     checked = 0
@@ -1042,7 +1093,8 @@ def verify_threshold_identities(
       s >= 2 it sits strictly below it with the certification cubic
       negative there.
 
-    An empty grid is a ``DomainError``.
+    A bound that is not an integer, or an empty grid, is a
+    ``DomainError``.
     """
     started = time.perf_counter()
     failures: list[dict] = []

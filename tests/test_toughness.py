@@ -66,17 +66,20 @@ def test_witness_reproduces_the_ratio():
 
 
 def test_matches_unpruned_oracle_exhaustively_small():
-    # also the exhaustive scan's toughness level: level >= t exactly
-    # when the toughness is below 1/t, for every t, from one level per
-    # graph over cuts up to the t = 1 cap; and the degree rule: whenever
-    # it rules out every cut size the graph is 1/t-tough, and from order
-    # 3 on it decides some graph whose plan is not empty
+    # also the exhaustive scan's toughness level, packed as level + 1
+    # for a connected graph and 0 for every other mask: level >= t
+    # exactly when the toughness is below 1/t, for every t, from one
+    # level per graph over cuts up to the t = 1 cap; and the degree rule:
+    # whenever it rules out every cut size the graph is 1/t-tough, and
+    # from order 3 on it decides some graph whose plan is not empty
     ts = (Fraction(1, 2), Fraction(3, 2))
     rule_ts = (Fraction(1), Fraction(2), Fraction(3)) + ts
     for n in range(1, 7):
         graphs = list(enumerate_connected(n))
         masks = np.array([mask_of_graph(g) for g in graphs], dtype=np.int64)
-        levels = _level_table(n)[masks].tolist()
+        packed = _level_table(n)
+        assert packed[masks].all() and np.count_nonzero(packed) == masks.size, n
+        levels = (packed[masks] - 1).tolist()
         rules = [_cut_plan(n, t.numerator, t.denominator)[3] for t in rule_ts]
         decided = 0
         for g, level in zip(graphs, levels):

@@ -43,12 +43,12 @@ from toughcert.verify import (
     VERDICT_TOUGH,
     _TABLE_BLOCK,
     _adjacency_stack,
+    _bound_windows,
     _clique,
     _comps_rows,
     _comps_table,
     _extremal_masks,
     _graph6_of_masks,
-    _isolation_term,
     _level_rows,
     _level_table,
     _maximizer_grid,
@@ -190,18 +190,29 @@ def test_scan_chunk_decodes_nothing(monkeypatch):
     assert not built
 
 
+def _packed_oracle(n: int, masks: np.ndarray) -> np.ndarray:
+    """What the scan reads at each of the order-``n`` int64 edge
+    ``masks``, mask by mask from the oracles: 0 for a disconnected graph,
+    and for a connected one its level over every cut, plus one."""
+    conn = np.array([brute_connected(graph_from_mask(n, m)) for m in masks.tolist()], dtype=bool)
+    return np.where(conn, cut_levels(n, masks, n - 1) + 1, 0)
+
+
 def test_level_table_matches_cut_oracle():
     # the recursion on order, built at the t = 1 cap, against every cut
-    # one at a time: every connected mask up to order 6, then a seeded
-    # sample of order 7, whose 32 blocks check the blocked gather; the
-    # check against the unpruned toughness oracle is in test_toughness.py
+    # one at a time and a connectivity search: every mask up to order 6,
+    # then a seeded sample of order 7, connected and not, whose 32
+    # blocks check the blocked gather; the check against the unpruned
+    # toughness oracle is in test_toughness.py
     for n in range(1, 7):
-        cmasks = np.flatnonzero(_comps_table(n) == 1)
         table = _level_table(n)
         assert table.dtype == np.uint8 and table.size == 1 << (n * (n - 1) // 2)
-        assert (table[cmasks] == cut_levels(n, cmasks, n - 1)).all(), n
-    sample = np.random.default_rng(83).choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
-    assert (_level_table(7)[sample] == cut_levels(7, sample, 6)).all()
+        masks = np.arange(table.size, dtype=np.int64)
+        assert np.array_equal(table, _packed_oracle(n, masks)), n
+    sample = np.random.default_rng(83).integers(0, 1 << 21, 25_000)
+    want = _packed_oracle(7, sample)
+    assert (want == 0).any() and (want > 1).any()
+    assert np.array_equal(_level_table(7)[sample], want)
 
 
 def test_level_table_matches_recursion_oracle():
@@ -214,6 +225,9 @@ def test_level_table_matches_recursion_oracle():
             *_, ref = recursion_levels(r, deleted)
             got = _level_table(r, deleted)
             assert got.dtype == np.uint8
+            if not deleted:
+                # packed: 0 for a disconnected graph, level + 1 otherwise
+                ref = np.where(_comps_table(r) == 1, ref + 1, 0)
             assert np.array_equal(got, ref), (r, deleted)
 
 
@@ -221,31 +235,34 @@ def test_order_8_levels_match_cut_oracle():
     # order 8 has no table: its level rows split at vertex 0 and read the
     # order-7 tables, every mask of a row, connected or not
     rows = _order_8_rows(89)
-    level = _level_rows(8, 0, rows)
-    assert level.dtype == np.uint8 and level.shape == (rows.size, 128)
+    packed = _level_rows(8, 0, rows)
+    assert packed.dtype == np.uint8 and packed.shape == (rows.size, 128)
     masks = (rows[:, None] << 7 | np.arange(128)).reshape(-1)
-    assert not (_comps_rows(8, rows) == 1).all()
-    assert (level.reshape(-1) == cut_levels(8, masks, 7)).all()
+    want = _packed_oracle(8, masks)
+    assert (want == 0).any() and (want > 1).any()
+    assert np.array_equal(packed.reshape(-1), want)
 
 
 def test_one_level_table_answers_every_t():
-    # a graph fails 1/t-toughness iff some cut of at most
+    # a connected graph fails 1/t-toughness iff some cut of at most
     # (n - 1) // (t + 1) vertices leaves t|S| + 1 components: the table
-    # built once at the t = 1 cap gives that answer at every t.  The
-    # sharpness labelings make sure each t has graphs that fail.
+    # built once at the t = 1 cap gives that answer at every t, as a
+    # packed byte above t.  The sharpness labelings make sure each t has
+    # graphs that fail; the order-8 sample is connected and not.
     rng = np.random.default_rng(101)
     connected = rng.choice(np.flatnonzero(_comps_table(7) == 1), 20_000)
-    for n, sample, level in (
+    for n, sample, packed in (
         (7, connected, lambda masks: _level_table(7)[masks]),
         (8, rng.integers(0, 1 << 28, 20_000), lambda masks: _level_rows(8, 0, masks >> 7)[
             np.arange(masks.size), masks & 127]),
     ):
         named = [_extremal_masks(n, t) for t in range(1, n - 1)]
         sample = np.concatenate([sample, *named])
-        got = level(sample)
+        got = packed(sample)
+        conn = np.array([brute_connected(graph_from_mask(n, m)) for m in sample.tolist()])
         for t in range(1, n - 1):
-            want = cut_levels(n, sample, (n - 1) // (t + 1)) >= t
-            assert np.array_equal(got >= t, want), (n, t)
+            want = conn & (cut_levels(n, sample, (n - 1) // (t + 1)) >= t)
+            assert np.array_equal(got > t, want), (n, t)
             assert want.any() and not want.all(), (n, t)
 
 
@@ -253,23 +270,23 @@ def test_scan_tables_match_the_per_mask_readers():
     # order 8: the rows that cover the range, sliced, against the
     # oracles mask by mask, on a mostly disconnected range from mask 0
     # and one inside the last 2^18-mask chunk whose ends are not
-    # multiples of 128.  Up to order 7: the plain table slices.
+    # multiples of 128.  Up to order 7: the plain table slices, nonzero
+    # exactly where the component table reads one component.
     for lo in (0, (1023 << 18) + 5000):
         hi = lo + (1 << 12)
         masks = np.arange(lo, hi, dtype=np.int64)
-        ref = np.array([brute_connected(graph_from_mask(8, m)) for m in masks.tolist()])
+        want = _packed_oracle(8, masks)
         if lo == 0:
-            assert 0 < np.count_nonzero(ref) < ref.size // 2
-        conn, level = _scan_tables(8, lo, hi)
-        assert np.array_equal(conn, ref), lo
-        assert level.dtype == np.uint8 and level.size == masks.size
-        assert np.array_equal(level, cut_levels(8, masks, 7)), lo
+            assert 0 < np.count_nonzero(want) < want.size // 2
+        packed = _scan_tables(8, lo, hi)
+        assert packed.dtype == np.uint8 and packed.size == masks.size
+        assert np.array_equal(packed, want), lo
     for n in (5, 6, 7):
         total = 1 << (n * (n - 1) // 2)
         for lo, hi in ((0, total), (total // 3, total // 3 + 1000)):
-            conn, level = _scan_tables(n, lo, hi)
-            assert np.array_equal(conn, _comps_table(n)[lo:hi] == 1), (n, lo)
-            assert np.array_equal(level, _level_table(n)[lo:hi]), (n, lo)
+            packed = _scan_tables(n, lo, hi)
+            assert np.array_equal(packed, _level_table(n)[lo:hi]), (n, lo)
+            assert np.array_equal(packed != 0, _comps_table(n)[lo:hi] == 1), (n, lo)
 
 
 def _record_table_builds(monkeypatch) -> list:
@@ -306,8 +323,18 @@ def _record_table_builds(monkeypatch) -> list:
 
 def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeypatch):
     # the warm-up before a fork reads an empty range; the pool test runs
-    # order 5, so here an order-8 chunk after it must build no table
+    # order 5, so here an order-8 chunk after it must build no table.
+    # Connectivity comes packed with the levels, so no chunk reads the
+    # order-8 component rows; the order-7 component table feeds the
+    # isolation terms.
     built = _record_table_builds(monkeypatch)
+    real_rows = toughcert.verify._comps_rows
+
+    def rows_below_order_8(r, rows):
+        assert r < 8, "an order-8 chunk read the component rows"
+        return real_rows(r, rows)
+
+    monkeypatch.setattr(toughcert.verify, "_comps_rows", rows_below_order_8)
     _scan_tables(8, 0, 0)
     assert {("comps", 7), ("levels", 7, 0), ("levels", 7, 1), ("terms", 7, 3, 0)} <= set(built)
     warmed = list(built)
@@ -697,22 +724,22 @@ def _sharpness_chunk(n: int, t: int):
 
 @pytest.mark.parametrize("n", [7, 8])
 def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n):
-    # a labeling missing from the violated masks came out tough: with
-    # its level patched below t it is one extremal-tough failure and one
-    # fewer exceptional graph.  Order 8 has no table, so its level rows
-    # are patched.
+    # a labeling that reads tough came out tough: with its packed value
+    # patched to 1 (connected, level 0) it is one extremal-tough failure
+    # and one fewer exceptional graph.  Order 8 has no table, so its
+    # level rows are patched.
     label, args = _sharpness_chunk(n, 2)
     before = _scan_chunk(args)
     assert label in before["exceptional_masks"] and not before["failures"]
     if n == 7:
         table = _level_table(7).copy()
-        table[label] = 0
+        table[label] = 1
         monkeypatch.setattr(toughcert.verify, "_level_table", lambda *key: table)
     else:
         def reading_tough(r, deleted, rows):
             out = _level_rows(r, deleted, rows)
             if r == 8:
-                out[rows == label >> 7, label & 127] = 0
+                out[rows == label >> 7, label & 127] = 1
             return out
 
         monkeypatch.setattr(toughcert.verify, "_level_rows", reading_tough)
@@ -728,21 +755,20 @@ def test_scan_chunk_reports_a_sharpness_labeling_that_reads_tough(monkeypatch, n
 @pytest.mark.parametrize("n", [7, 8])
 def test_scan_chunk_refuses_a_sharpness_labeling_read_disconnected(monkeypatch, n):
     # every labeling is connected, so a tough reading can only mean the
-    # example came out tough if the labeling was scanned at all; order 8
-    # reads connectivity from the order-7 table at sub | clique[N]
+    # example came out tough if the labeling was scanned at all.  The
+    # packed value 0 reads disconnected: order 7 reads it from its
+    # table, and order 8 from the packed order-7 table at sub | clique[N]
     label, args = _sharpness_chunk(n, 2)
-    real = _comps_table
-    table = real(7).copy()
+    table = _level_table(7).copy()
     if n == 7:
-        table[label] = 2
+        table[label] = 0
     else:
         near = label & ((1 << 7) - 1)
-        table[(label >> 7) | int(_clique(8)[near])] = 2
-    monkeypatch.setattr(toughcert.verify, "_comps_table", lambda r: table if r == 7 else real(r))
-    # level tables and terms built while the counts are patched stay
-    # with the test
-    for name, cached in (("_level_table", _level_table), ("_isolation_term", _isolation_term)):
-        monkeypatch.setattr(toughcert.verify, name, lru_cache(maxsize=None)(cached.__wrapped__))
+        table[(label >> 7) | int(_clique(8)[near])] = 0
+    monkeypatch.setattr(
+        toughcert.verify, "_level_table",
+        lambda r, deleted=0: table if (r, deleted) == (7, 0) else _level_table(r, deleted),
+    )
     with pytest.raises(AssertionError, match="sharpness labeling was not scanned"):
         _scan_chunk(args)
 
@@ -761,6 +787,60 @@ def test_scan_chunk_order_8_counts_match_predicate(t):
         tough += res["tough"]
         not_tough += res["not_tough"]
     assert tough and not_tough
+
+
+# The curiosities path at order 7 on three 2^16-mask chunks: (connected,
+# not_tough, eigensolves, bound_skips, incident count) and the sha256 of
+# the incidents' "kind graph6" lines.  The eigensolves count both bands'
+# undecided graphs, so a bound window one count too wide or too narrow
+# shows; lambda1 is left out, as its digits depend on the LAPACK build.
+CURIOSITY_PINS = {
+    (3, 0): ((40964, 1284, 20549, 1266, 30),
+             "82ae7125a03188e26061b412c8cc1a64b5dfdeba663e51428e8ef9a8eadfce0d"),
+    (3, 17): ((58292, 181, 31855, 181, 12),
+              "e5ba7664ea9d6ba0ca0a865aeb719a2c2db004a0d622e0e89b4f9bb2c10fdf3b"),
+    (3, 31): ((62460, 8, 12113, 4, 6),
+              "462bfd01ba389673c3594dddd5f4b3bd354cea91d765d66f36b5bca712369d16"),
+    (5, 0): ((40964, 3, 17220, 0, 114),
+             "1b32e48eb39d0706664c9a49c7f3586038863f17859fc85eb3e97cc3a53901cf"),
+    (5, 17): ((58292, 0, 9670, 0, 42),
+              "9d7fdf9eef25def6b6cf2cc8918d997157f369ae7bd54c6519de0720a3d15bde"),
+    (5, 31): ((62460, 0, 196, 0, 0),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("t, chunk", sorted(CURIOSITY_PINS))
+def test_scan_chunk_curiosities_at_order_7(t, chunk):
+    lo = chunk << 16
+    res = _scan_chunk((7, t, lo, lo + (1 << 16), threshold(t, 7).value, 1e-9, 1e-9, True))
+    counts = tuple(res[k] for k in ("connected", "not_tough", "eigensolves", "bound_skips"))
+    text = "".join(f"{rec['kind']} {rec['graph6']}\n" for rec in res["incidents"])
+    assert (counts + (len(res["incidents"]),), hashlib.sha256(text.encode()).hexdigest()) == (
+        CURIOSITY_PINS[t, chunk]
+    )
+    assert not res["failures"]
+    assert {rec["kind"] for rec in res["incidents"]} <= {"equality-curiosity"}
+
+
+def test_bound_windows_hold_exactly_the_tabulated_bounds():
+    # each cheap bound is monotone, so the counts it leaves undecided
+    # form one window: tabulated the float way, every count inside the
+    # window passes both bounds and every count outside fails one
+    for n in range(2, 9):
+        m = np.arange(n * (n - 1) // 2 + 1, dtype=np.float64)
+        d = np.arange(n, dtype=np.float64)
+        bands = [(threshold(t, n).value - eps, high)
+                 for t in range(1, n - 1) for eps in (0.0, 1e-9, 5.0)
+                 for high in (math.inf, threshold(t, n).value + eps)]
+        for low, high in bands + [(0.0, math.inf), (float(n), math.inf), (-1.0, 0.5)]:
+            by_edges = (np.sqrt(np.maximum(2.0 * m - n + 1.0, 0.0)) >= low) & (2.0 * m / n <= high)
+            by_degree = (d >= low) & (np.sqrt(d) <= high)
+            windows = _bound_windows(n, low, high)
+            for table, (first, last) in zip((by_edges, by_degree), windows):
+                assert type(first) is int and type(last) is int
+                counts = np.arange(table.size)
+                assert np.array_equal(table, (counts >= first) & (counts <= last)), (n, low, high)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -786,12 +866,14 @@ def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts):
         assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[t], t
     assert built.count(("levels", 7, 0)) == 1
     assert ("levels", 7, 1) not in built
+    # connectivity comes packed with the levels
+    assert ("comps", 7) not in built
     assert len(set(built)) == len(built)
     assert built == warmed
 
 
 def test_verify_theorem_order_7_report_bytes_with_large_chunks():
-    # four times the default chunk gives the same report bytes
+    # twice the default chunk gives the same report bytes
     summary = verify_theorem(7, 2, chunk_size=1 << 18)
     text = "".join(line + "\n" for line in report_lines(summary))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
@@ -877,7 +959,9 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
 
         def map(self, fn, items):
             warmed = list(built)
-            assert ("levels", 5, 0) in warmed and ("comps", 5) in warmed
+            # connectivity comes packed with the levels: no order-5
+            # component table
+            assert ("levels", 5, 0) in warmed and ("comps", 5) not in warmed
             results = [fn(x) for x in items]
             assert built == warmed, "a table was built inside the pool"
             return results
@@ -987,6 +1071,23 @@ def test_empty_lemma_grids_are_domain_errors():
     assert [m.scope for m in _maximizer_grid(2, 1, 1)] == [
         {"n": 2, "s": 1, "c": 1, "eps": 1e-9}
     ]
+
+
+def test_lemma_grid_bounds_are_integers():
+    # a bool bound would run as 0 or 1 and be reported as true or false
+    # in the scope, and a float one would reach range() as a TypeError
+    for call in (
+        lambda: verify_quotient_embedding(s_max=True, t_max=1, n_max=4),
+        lambda: verify_quotient_embedding(s_max=2.5),
+        lambda: verify_quotient_embedding(n_max=12.0),
+        lambda: verify_threshold_identities(t_max=True),
+        lambda: verify_threshold_identities(s_max=1, t_max=1, n_max=3.5),
+        lambda: _maximizer_grid(12, True, 4),
+        lambda: _maximizer_grid(12.0, 3, 4),
+        lambda: _maximizer_grid(12, 3, 4.0),
+    ):
+        with pytest.raises(DomainError, match="must be integers"):
+            call()
 
 
 def test_verify_quotient_embedding():
