@@ -21,6 +21,7 @@ from .thresholds import build_extremal, threshold, threshold_cubic
 from .toughness import EXHAUSTIVE_LIMIT, toughness_exact
 from .verify import (
     _maximizer_grid,
+    _theorem_threshold,
     certify,
     verify_quotient_embedding,
     verify_subgraph_monotonicity,
@@ -178,11 +179,16 @@ def _cmd_verify_theorem(args) -> int:
     n_hi = args.n_max if args.n_max is not None else args.n
     if n_hi < args.n:
         raise DomainError("--n-max below --n")
-    # a generator, so each order's report is written before the next scan
+    orders = range(args.n, n_hi + 1)
+    # every order is checked before the first scan, so a bad range writes
+    # nothing; a generator, so each order's report is written before the
+    # next scan
+    for n in orders:
+        _theorem_threshold(n, args.t, args.workers, args.eps_eq, args.eps_strict)
     summaries = (
         verify_theorem(n, args.t, workers=args.workers, eps_eq=args.eps_eq,
                        eps_strict=args.eps_strict, log_curiosities=args.curiosities)
-        for n in range(args.n, n_hi + 1)
+        for n in orders
     )
     return _write_summaries(args.output, summaries, lambda summary: (
         f"n={summary.scope['n']} t={args.t}: connected={summary.counts['connected']} "

@@ -312,30 +312,31 @@ def _pair_index(width: int) -> np.ndarray:
     return _kept(index)
 
 
-def _graph6_text(n: int, bits: np.ndarray) -> list[str]:
+def _graph6_text(n: int, matrices: np.ndarray) -> list[str]:
     """graph6 strings of order-``n`` graphs (``n`` <= ``_GRAPH6_MAX``),
-    one per row of the 0/1 array ``bits``, whose n(n - 1)/2 columns are
-    the pair bits in graph6 order.  Each row is packed into bytes and
-    zero-filled to whole 3-byte groups, so one base64 pass encodes every
-    row and each starts on a digit of its own; its first
+    one per matrix of the (k, n, n) stack of 0/1 integer adjacency
+    ``matrices``: each lower triangle, read through ``_cells``, holds
+    the pair bits in graph6 order.  Each row of bits is packed into
+    bytes and zero-filled to whole 3-byte groups, so one base64 pass
+    encodes every graph and each starts on a digit of its own; its first
     ceil(n(n - 1)/12) digits are kept, the last with zero pad bits."""
     if n <= 62:
         header = chr(n + 63)
     else:
         header = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    packed = np.packbits(bits, axis=1)
+    packed = np.packbits(matrices[:, _cells(n)], axis=1)
     rows, size = packed.shape
     if size % 3:
         packed = np.concatenate([packed, np.zeros((rows, -size % 3), dtype=np.uint8)], axis=1)
     flat = base64.b64encode(packed.tobytes()).translate(_FROM_BASE64).decode("ascii")
-    width, digits = 4 * -(-size // 3), -(-bits.shape[1] // 6)
+    width, digits = 4 * -(-size // 3), -(-n * (n - 1) // 12)
     return [header + flat[k * width:k * width + digits] for k in range(rows)]
 
 
 def to_graph6(g: Graph) -> str:
     if g.n > _GRAPH6_MAX:
         raise DomainError(f"graph6 supports order at most {_GRAPH6_MAX}")
-    return _graph6_text(g.n, g._bitmatrix[_cells(g.n)][None])[0]
+    return _graph6_text(g.n, g._bitmatrix[None])[0]
 
 
 def parse_graph6(text: str) -> Graph:

@@ -89,9 +89,11 @@ class Spectrum:
 
 
 def spectral_radii(adjacency: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each symmetric matrix in a (k, n, n) float
-    stack, in one solver call.  LAPACK solves the matrices one by one,
-    so each value is the one a single-matrix call gives."""
+    """Largest eigenvalue of each symmetric matrix in a (k, n, n) stack,
+    in one solver call.  The stack may be float or of any 0/1 integer
+    dtype: eigvalsh solves in float64 either way.  LAPACK solves the
+    matrices one by one, so each value is the one a single-matrix call
+    gives."""
     try:
         return np.linalg.eigvalsh(adjacency)[:, -1]
     except np.linalg.LinAlgError as exc:

@@ -16,16 +16,17 @@ graph fails 1/t-toughness iff its level is at least t.  Cuts that hold
 vertex 0 read the order-(r - 1) level table, with one more vertex
 deleted, at sub; cuts that leave it a neighbour read that table at
 sub | clique[N]; and cuts that hold all of N, isolating vertex 0, read
-the order-(r - 1) component table.  One reader per quantity applies the
-split to a set of rows.  Up to order 7 the readers build one table per
-order and process over every row, the level table for cuts of up to
-(n - 1) // 2 vertices: larger cuts read level 0, so the table answers
-every t.  The scan's level table packs connectivity in, one byte per
-mask: 0 for a disconnected graph and level + 1 for a connected one, the
-connectivity taken from the same read at sub | clique[N] as the level.
-A scan chunk is a contiguous mask range (2^17 masks by default): up to
-order 7 its packed bytes are a table slice, and at order 8 the level
-reader runs over the rows that cover it, reading the order-7 tables.
+the order-(r - 1) component table.  Up to order 7 the component table
+and the level reader, which applies the split to any set of rows, build
+one table per order and process over every row, the level table for
+cuts of up to (n - 1) // 2 vertices: larger cuts read level 0, so the
+table answers every t.  The scan's level table packs connectivity in,
+one byte per mask: 0 for a disconnected graph and level + 1 for a
+connected one, the connectivity taken from the same read at
+sub | clique[N] as the level.  A scan chunk is a contiguous mask range
+(``_SCAN_CHUNK``, 2^17 masks): up to order 7 its packed bytes are a
+table slice, and at order 8 the level reader runs over the rows that
+cover it, reading the order-7 tables.
 It counts the nonzero bytes and lists only the masks whose byte exceeds
 t, the graphs that fail toughness.  The sharpness examples are not
 searched for: the masks of all their labelings are built once per
@@ -37,12 +38,13 @@ leaves undecided, both compared with integer windows.  The spectral
 side only solves eigenproblems for graphs whose cheap degree/edge
 bounds cannot already separate them from the threshold, in one batched
 call.  The scan builds no ``Graph``: one pair table per order sends each
-mask bit to its two adjacency cells and to its graph6 position, so the
-eigensolves' matrices and the graph6 strings of the listed graphs both
-come straight from the mask bits, the strings through the encoder
-``to_graph6`` uses.  What does not depend on the chunk (the pair table,
-the bound windows of each band, the masks of the pairs at each vertex)
-is built once per process.
+mask bit to its two adjacency cells, and the 0/1 matrices that result
+feed both the eigensolves and the graph6 strings of the listed graphs,
+which go through the encoder ``to_graph6`` uses (only ``graphs`` knows
+the graph6 bit order).  Connectivity, for the scan and for
+``enumerate_connected`` alike, is the packed byte being nonzero.  What
+does not depend on the chunk (the pair table, the bound windows of each
+band, the masks of the pairs at each vertex) is built once per process.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -158,14 +160,15 @@ def mask_of_graph(g: Graph) -> int:
 
 def enumerate_connected(n: int):
     """Yield every connected labeled graph of order ``n`` in increasing
-    edge-mask order.  Guarded at order 8 (2^28 masks)."""
+    edge-mask order: the nonzero packed bytes of the scan, read
+    ``_TABLE_BLOCK`` masks at a time.  Guarded at order 8 (2^28 masks)."""
     _check_int(n, "order must be a positive integer")
     if n > _SCAN_MAX:
         raise SizeLimitError(f"exhaustive enumeration capped at order {_SCAN_MAX}")
     total = 1 << (n * (n - 1) // 2)
     for lo in range(0, total, _TABLE_BLOCK):
         hi = min(lo + _TABLE_BLOCK, total)
-        for mask in (np.flatnonzero(_connected(n, lo, hi)) + lo).tolist():
+        for mask in (np.flatnonzero(_scan_tables(n, lo, hi)) + lo).tolist():
             yield graph_from_mask(n, mask)
 
 
@@ -198,6 +201,16 @@ class CertificateReport:
         }
 
 
+def _check_tolerances(**tolerances) -> None:
+    """Raise ``DomainError`` unless every tolerance is a finite,
+    nonnegative number and not a bool: a negative one would widen a
+    claim, a NaN would make every comparison false, an infinity is not
+    JSON, and True would be reported as ``true``."""
+    for name, eps in tolerances.items():
+        if isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0):
+            raise DomainError(f"{name} must be finite and nonnegative")
+
+
 # The sharpness example has lambda_1 = eta exactly, and spectral_radius
 # returns it within 1e-11 eta (a bracket fixing 12 digits) or n u eta
 # (eigvalsh), so certify runs the structural recognizer only when the
@@ -222,7 +235,8 @@ def certify(
     otherwise ``certified-tough`` when the largest adjacency eigenvalue
     is at least the threshold plus ``epsilon``, and ``inconclusive``
     when it is not, in which case the condition simply does not apply.
-    ``epsilon`` must be nonnegative: it can only narrow the claim.
+    ``epsilon`` must be finite and nonnegative: it can only narrow the
+    claim.
     ``cross_check=None`` runs the exact toughness oracle automatically
     for orders <= 10; ``True`` forces it (subject to the exhaustive
     limit); ``False`` skips it.
@@ -231,8 +245,7 @@ def certify(
     ``to_graph6(g)``, which is computed only when it is omitted.
     """
     _check_int(t, "t must be a positive integer", error=HypothesisError)
-    if not epsilon >= 0:
-        raise DomainError("epsilon must be nonnegative")
+    _check_tolerances(epsilon=epsilon)
     if g.n < t + 2:
         raise HypothesisError(f"order {g.n} below t + 2 = {t + 2}")
     if not is_connected(g):
@@ -328,7 +341,7 @@ def write_report(summary: VerificationSummary, stream) -> None:
 # for the order-7 table.
 _TABLE_ORDER = 7
 _TABLE_BLOCK = 1 << 16
-# The scan's default chunk: 16 chunks at order 7 and 2048 at order 8.
+# The scan's chunk: 16 chunks at order 7 and 2048 at order 8.
 # A chunk has a fixed cost of tens of microseconds beside its
 # per-mask work, and its int64 temporaries (the listed masks) stay
 # within 1 MB.
@@ -355,32 +368,26 @@ def _clique(r: int) -> np.ndarray:
     return out
 
 
-def _comps_rows(r: int, rows: np.ndarray) -> np.ndarray:
-    """Component counts (uint8) of the order-``r`` graphs with edge masks
-    N | sub << (r - 1), for sub in the int64 order-(r - 1) masks ``rows``
-    and every neighbour set N of vertex 0, one row per sub.  Vertex 0
-    joins N into one component, as a clique on N does, and an isolated
-    vertex 0 adds one: c_r = c_{r-1}(sub | clique[N]) + (N == 0).  The
-    lower table is read _TABLE_BLOCK masks at a time."""
+@lru_cache(maxsize=None)
+def _comps_table(r: int) -> np.ndarray:
+    """Component counts of every labeled graph of order ``r``, indexed
+    by edge mask, down to c_1 = [1]; they feed the isolation terms.  The
+    masks N | sub << (r - 1) of one order-(r - 1) mask sub form a row,
+    one column per neighbour set N of vertex 0.  Vertex 0 joins N into
+    one component, as a clique on N does, and an isolated vertex 0 adds
+    one: c_r = c_{r-1}(sub | clique[N]) + (N == 0).  The lower table is
+    read _TABLE_BLOCK masks at a time.  uint8, built once per process."""
+    if r == 1:
+        return np.ones(1, dtype=np.uint8)
     clique = _clique(r)
     lower = _comps_table(r - 1)
+    rows = np.arange(lower.size, dtype=np.int64)
     out = np.empty((rows.size, clique.size), dtype=np.uint8)
     step = _TABLE_BLOCK // clique.size
     for k in range(0, rows.size, step):
         np.take(lower, rows[k:k + step, None] | clique, out=out[k:k + step])
     out[:, 0] += 1
-    return out
-
-
-@lru_cache(maxsize=None)
-def _comps_table(r: int) -> np.ndarray:
-    """Component counts of every labeled graph of order ``r``, indexed
-    by edge mask: ``_comps_rows`` over every row, down to c_1 = [1].
-    uint8, built once per process."""
-    if r == 1:
-        return np.ones(1, dtype=np.uint8)
-    rows = np.arange(1 << ((r - 1) * (r - 2) // 2), dtype=np.int64)
-    return _comps_rows(r, rows).reshape(-1)
+    return out.reshape(-1)
 
 
 # the level build and the degree counts ask for one vertex at a time
@@ -496,16 +503,6 @@ def _span(n: int, lo: int, hi: int) -> tuple[np.ndarray, slice]:
     return np.arange(first, -(-hi >> (n - 1)), dtype=np.int64), slice(lo - start, hi - start)
 
 
-def _connected(n: int, lo: int, hi: int) -> np.ndarray:
-    """Whether each order-``n`` graph with edge mask in [lo, hi) is
-    connected: a slice of the component table up to the table order,
-    of the component rows that cover the range above it."""
-    if n <= _TABLE_ORDER:
-        return _comps_table(n)[lo:hi] == 1
-    rows, part = _span(n, lo, hi)
-    return _comps_rows(n, rows).reshape(-1)[part] == 1
-
-
 def _scan_tables(n: int, lo: int, hi: int) -> np.ndarray:
     """The packed levels (uint8: 0 for a disconnected graph, toughness
     level + 1 for a connected one) of the order-``n`` edge masks
@@ -514,45 +511,30 @@ def _scan_tables(n: int, lo: int, hi: int) -> np.ndarray:
     per-process table.  An empty range builds exactly the tables that a
     range reads."""
     if n <= _TABLE_ORDER:
-        return _level_table(n)[lo:hi]
+        # the key the order-(n + 1) rows read, so one table per order
+        return _level_table(n, 0)[lo:hi]
     rows, part = _span(n, lo, hi)
     return _level_rows(n, 0, rows).reshape(-1)[part]
 
 
 @lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_table(n: int) -> np.ndarray:
     """Where the bit e of each vertex pair (i, j) in an order-``n`` edge
-    mask (lex pair order, as in ``graph_from_mask``) goes: its graph6 bit
-    position j(j - 1)/2 + i, and its two flat cells i n + j and j n + i
-    of an n x n matrix (a 2 x C(n, 2) array).  Read-only, one per order."""
+    mask (lex pair order, as in ``graph_from_mask``) goes: its two flat
+    cells i n + j and j n + i of an n x n matrix (a 2 x C(n, 2) array).
+    Read-only, one per order."""
     i, j = np.array(_edge_order(n), dtype=np.intp).reshape(-1, 2).T
-    return _kept(j * (j - 1) // 2 + i), _kept(np.stack([i * n + j, j * n + i]))
-
-
-def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
-    """(k, C(n, 2)) 0/1 bits of the int64 edge ``masks``, bit e in column e."""
-    return (masks[:, None] >> np.arange(n * (n - 1) // 2)) & 1
+    return _kept(np.stack([i * n + j, j * n + i]))
 
 
 def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
-    """(k, n, n) float64 adjacency matrices of the order-``n`` graphs with
-    int64 edge ``masks``: each mask bit lands in its pair's two cells."""
-    _, cells = _pair_table(n)
-    out = np.zeros((masks.size, n * n))
-    out[:, cells] = _mask_bits(n, masks)[:, None]
+    """(k, n, n) uint8 0/1 adjacency matrices of the order-``n`` graphs
+    with int64 edge ``masks``: each mask bit lands in its pair's two
+    cells.  The eigensolves and the graph6 encoder both read it."""
+    cells = _pair_table(n)
+    out = np.zeros((masks.size, n * n), dtype=np.uint8)
+    out[:, cells] = (masks[:, None] >> np.arange(cells.shape[1]) & 1)[:, None]
     return out.reshape(-1, n, n)
-
-
-def _graph6_of_masks(n: int, masks: np.ndarray) -> list[str]:
-    """graph6 strings of the order-``n`` graphs with int64 edge ``masks``:
-    the mask bits moved to their graph6 positions and encoded in one
-    call, skipped when there are none."""
-    if not masks.size:
-        return []
-    position, _ = _pair_table(n)
-    bits = np.empty((masks.size, position.size), dtype=np.uint8)
-    bits[:, position] = _mask_bits(n, masks)
-    return _graph6_text(n, bits)
 
 
 @lru_cache(maxsize=None)
@@ -652,15 +634,19 @@ def _scan_chunk(args) -> dict:
     incidents: list[dict] = []
     eigensolves = 0
 
-    # no Graph is built: eigenvalues and graph6 strings both come from
-    # the mask bits, the strings in one encoder call per kind of record
-    # that has any (the labelings, the spectral suspects, the curiosities)
+    # no Graph is built: eigenvalues and graph6 strings both read the
+    # adjacency stack of the mask bits, the strings in one encoder call
+    # per kind of record that has any (the labelings, the spectral
+    # suspects, the curiosities)
     def radii(masks) -> list[float]:
         nonlocal eigensolves
         if not masks.size:
             return []
         eigensolves += masks.size
         return spectral_radii(_adjacency_stack(n, masks)).tolist()
+
+    def graph6(masks) -> list[str]:
+        return _graph6_text(n, _adjacency_stack(n, masks)) if masks.size else []
 
     def ctx(g6: str, lam: float | None = None) -> dict:
         rec = {
@@ -675,7 +661,7 @@ def _scan_chunk(args) -> dict:
         return rec
 
     exceptional_g6: list[str] = []
-    for g6, found in zip(_graph6_of_masks(n, named), exceptional):
+    for g6, found in zip(graph6(named), exceptional):
         if found:
             exceptional_g6.append(g6)
         else:
@@ -690,7 +676,7 @@ def _scan_chunk(args) -> dict:
     bound_skips = suspects.size - needs.size
     lams = radii(needs)
     listed = [k for k, lam in enumerate(lams) if lam > eta + eps_eq or lam >= eta - eps_strict]
-    for k, g6 in zip(listed, _graph6_of_masks(n, needs[listed])):
+    for k, g6 in zip(listed, graph6(needs[listed])):
         if lams[k] > eta + eps_eq:
             failures.append(
                 {**ctx(g6, lams[k]), "kind": "spectral-bound",
@@ -714,7 +700,7 @@ def _scan_chunk(args) -> dict:
         near = _undecided(n, np.flatnonzero(tough) + lo, eta - eps_eq, eta + eps_eq)
         lams = radii(near)
         listed = [k for k, lam in enumerate(lams) if abs(lam - eta) <= eps_eq]
-        for k, g6 in zip(listed, _graph6_of_masks(n, near[listed])):
+        for k, g6 in zip(listed, graph6(near[listed])):
             incidents.append(
                 {**ctx(g6, lams[k]), "kind": "equality-curiosity",
                  "detail": "tough graph with eigenvalue at the threshold"}
@@ -753,6 +739,19 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _theorem_threshold(n: int, t: int, workers: int, eps_eq: float, eps_strict: float) -> float:
+    """The threshold of (``n``, ``t``), once ``verify_theorem``'s
+    arguments have passed its checks; raises what that call would raise,
+    without scanning."""
+    # threshold checks t and n >= t + 2 first
+    eta = threshold(t, n).value
+    _check_tolerances(eps_eq=eps_eq, eps_strict=eps_strict)
+    _check_int(workers, "workers must be a positive integer")
+    if n > _SCAN_MAX:
+        raise SizeLimitError(f"order {n} exceeds the scan cap {_SCAN_MAX}")
+    return eta
+
+
 def verify_theorem(
     n: int,
     t: int,
@@ -760,7 +759,6 @@ def verify_theorem(
     eps_eq: float = 1e-9,
     eps_strict: float = 1e-9,
     log_curiosities: bool = False,
-    chunk_size: int = _SCAN_CHUNK,
 ) -> VerificationSummary:
     """Check the sufficient condition against every connected labeled
     graph of order ``n`` for the given ``t``.
@@ -773,27 +771,17 @@ def verify_theorem(
     eigenvalues inside the ambiguity band are recorded as incidents.
     Both tolerances must be finite and nonnegative.  Orders above 8
     (``_SCAN_MAX``, one past the table order) raise ``SizeLimitError``.
-    The mask range is scanned in chunks of ``chunk_size`` masks
-    (default ``_SCAN_CHUNK``, 2^17: 16 chunks at order 7, 2048 at order
-    8); the report does not depend on it.  ``workers`` must be a
-    positive integer; no more processes are forked than there are
-    chunks or cores this process may run on.
+    The mask range is scanned in chunks of ``_SCAN_CHUNK`` (2^17) masks,
+    16 at order 7 and 2048 at order 8; the report does not depend on the
+    chunk.  ``workers`` must be a positive integer; no more processes
+    are forked than there are chunks or cores this process may run on.
     """
     started = time.perf_counter()
-    # threshold checks t and n >= t + 2 first
-    eta = threshold(t, n).value
-    for name, eps in (("eps_eq", eps_eq), ("eps_strict", eps_strict)):
-        if not (math.isfinite(eps) and eps >= 0):
-            raise DomainError(f"{name} must be finite and nonnegative")
-    _check_int(chunk_size, "chunk_size must be a positive integer")
-    _check_int(workers, "workers must be a positive integer")
-    if n > _SCAN_MAX:
-        raise SizeLimitError(f"order {n} exceeds the scan cap {_SCAN_MAX}")
+    eta = _theorem_threshold(n, t, workers, eps_eq, eps_strict)
     total = 1 << (n * (n - 1) // 2)
-    ranges = [(lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)]
     argv = [
-        (n, t, lo, hi, eta, eps_eq, eps_strict, log_curiosities)
-        for lo, hi in ranges
+        (n, t, lo, min(lo + _SCAN_CHUNK, total), eta, eps_eq, eps_strict, log_curiosities)
+        for lo in range(0, total, _SCAN_CHUNK)
     ]
     processes = min(workers, len(argv), _usable_cores())
     if processes > 1:
@@ -804,40 +792,25 @@ def verify_theorem(
     else:
         results = [_scan_chunk(a) for a in argv]
 
-    counts = {
-        "masks": total,
-        "connected": 0,
-        "tough": 0,
-        "not_tough": 0,
-        "exceptional": 0,
-        "eigensolves": 0,
-        "bound_skips": 0,
-    }
-    failures: list[dict] = []
-    incidents: list[dict] = []
-    exceptional_masks: list[int] = []
-    exceptional_g6: list[str] = []
+    # chunk results merge in range order
+    counts = dict.fromkeys(("connected", "tough", "not_tough", "eigensolves", "bound_skips"), 0)
+    listed = {key: [] for key in ("failures", "incidents", "exceptional_masks", "exceptional_g6")}
     for res in results:
-        counts["connected"] += res["connected"]
-        counts["tough"] += res["tough"]
-        counts["not_tough"] += res["not_tough"]
-        counts["exceptional"] += len(res["exceptional_masks"])
-        counts["eigensolves"] += res["eigensolves"]
-        counts["bound_skips"] += res["bound_skips"]
-        failures.extend(res["failures"])
-        incidents.extend(res["incidents"])
-        exceptional_masks.extend(res["exceptional_masks"])
-        exceptional_g6.extend(res["exceptional_g6"])
+        for key in counts:
+            counts[key] += res[key]
+        for key, items in listed.items():
+            items.extend(res[key])
+    counts.update(masks=total, exceptional=len(listed["exceptional_masks"]))
 
     return VerificationSummary(
         check="theorem",
         scope={"n": n, "t": t, "eps_eq": eps_eq, "eps_strict": eps_strict},
         counts=counts,
-        failures=failures,
-        incidents=incidents,
+        failures=listed["failures"],
+        incidents=listed["incidents"],
         extras={
-            "exceptional_graph6": exceptional_g6,
-            "exceptional_masks": exceptional_masks,
+            "exceptional_graph6": listed["exceptional_g6"],
+            "exceptional_masks": listed["exceptional_masks"],
         },
         elapsed=time.perf_counter() - started,
     )

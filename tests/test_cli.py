@@ -244,6 +244,15 @@ def test_certify_negative_epsilon_exit_3(capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_certify_non_finite_epsilon_exit_3(capsys):
+    # an infinite epsilon would print as Infinity, which is not JSON
+    for value in ("inf", "1e400", "nan"):
+        assert run(["certify", "--t", "1", "--epsilon", value, "E?Bw"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon must be finite and nonnegative" in captured.err
+
+
 def test_verify_theorem_bad_tolerance_exit_3(capsys):
     for flag, value in (("--eps-strict", "nan"), ("--eps-eq", "-1"), ("--eps-eq", "inf")):
         assert run(["verify-theorem", "--n", "6", "--t", "1", flag, value]) == 3
@@ -364,6 +373,22 @@ def test_verify_theorem_cli_writes_each_order_before_the_next_scan(capsys, monke
     assert events == ["scan 3", "write", "scan 4", "write", "scan 5", "write"]
     err = capsys.readouterr().err.splitlines()
     assert [line.split(":")[0] for line in err] == ["n=3 t=1", "n=4 t=1", "n=5 t=1"]
+
+
+def test_verify_theorem_cli_range_past_the_scan_cap_scans_nothing(tmp_path, capsys, monkeypatch):
+    # every order of the range is checked before the first scan, so a
+    # range that ends past the cap writes nothing, not even its --output
+    def refuse(args):
+        raise AssertionError("scanned before the range was checked")
+
+    monkeypatch.setattr(toughcert.verify, "_scan_chunk", refuse)
+    out_path = tmp_path / "report.jsonl"
+    for output in ([], ["--output", str(out_path)]):
+        assert run(["verify-theorem", "--n", "6", "--n-max", "9", "--t", "4", *output]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "order 9 exceeds the scan cap 8" in captured.err
+    assert not out_path.exists()
 
 
 def test_verify_theorem_cli_failure_exit_1(capsys, monkeypatch):

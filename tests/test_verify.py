@@ -5,6 +5,7 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from types import SimpleNamespace
 
@@ -36,7 +37,7 @@ from toughcert import (
     toughness_exact,
 )
 from toughcert.cli import run
-from toughcert.graphs import _extremal_core
+from toughcert.graphs import _extremal_core, _graph6_text
 from toughcert.verify import (
     VERDICT_EXCEPTIONAL,
     VERDICT_INCONCLUSIVE,
@@ -45,10 +46,8 @@ from toughcert.verify import (
     _adjacency_stack,
     _bound_windows,
     _clique,
-    _comps_rows,
     _comps_table,
     _extremal_masks,
-    _graph6_of_masks,
     _level_rows,
     _level_table,
     _maximizer_grid,
@@ -146,21 +145,6 @@ def _order_8_rows(seed: int) -> np.ndarray:
     (mask 0), the last (the complete graph) and 118 seeded ones."""
     sample = np.random.default_rng(seed).integers(0, 1 << 21, 118)
     return np.concatenate([[0, (1 << 21) - 1], sample])
-
-
-def test_counts_contract_order_8_to_the_order_7_table():
-    # order 8 has no table: its component rows read the order-7 table at
-    # sub | clique[N], every mask of a row, connected or not
-    rows = _order_8_rows(71)
-    got = _comps_rows(8, rows)
-    assert got.dtype == np.uint8 and got.shape == (rows.size, 128)
-    for sub, counts in zip(rows.tolist(), got.tolist()):
-        for near, count in enumerate(counts):
-            mask = near | sub << 7
-            g = graph_from_mask(8, mask)
-            assert count == brute_components(g, set()), mask
-            assert (count == 1) == is_connected(g), mask
-    assert got[0, 0] == 8 and got[1, -1] == 1
 
 
 def test_scan_chunk_decodes_nothing(monkeypatch):
@@ -324,19 +308,16 @@ def _record_table_builds(monkeypatch) -> list:
 def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeypatch):
     # the warm-up before a fork reads an empty range; the pool test runs
     # order 5, so here an order-8 chunk after it must build no table.
-    # Connectivity comes packed with the levels, so no chunk reads the
-    # order-8 component rows; the order-7 component table feeds the
-    # isolation terms.
+    # Connectivity comes packed with the levels, so nothing counts the
+    # components of an order-8 graph; the order-7 component table feeds
+    # the isolation terms.  A process that scanned order 7 first reads
+    # the same order-7 level table at order 8.
     built = _record_table_builds(monkeypatch)
-    real_rows = toughcert.verify._comps_rows
-
-    def rows_below_order_8(r, rows):
-        assert r < 8, "an order-8 chunk read the component rows"
-        return real_rows(r, rows)
-
-    monkeypatch.setattr(toughcert.verify, "_comps_rows", rows_below_order_8)
+    _scan_tables(7, 0, 0)
     _scan_tables(8, 0, 0)
     assert {("comps", 7), ("levels", 7, 0), ("levels", 7, 1), ("terms", 7, 3, 0)} <= set(built)
+    assert ("comps", 8) not in built
+    assert len(set(built)) == len(built)
     warmed = list(built)
     _scan_chunk((8, 2, 1 << 27, (1 << 27) + (1 << 12), threshold(2, 8).value, 1e-9, 1e-9, True))
     assert built == warmed
@@ -348,28 +329,33 @@ def _random_masks(rng, n, count=300):
 
 
 def test_adjacency_stack_matches_graph_matrices():
+    # the 0/1 uint8 matrices a Graph keeps, and as floats the matrices
+    # the single-graph eigensolves read
     rng = random.Random(79)
     for n in range(1, 9):
         masks = _random_masks(rng, n)
         stack = _adjacency_stack(n, np.array(masks, dtype=np.int64))
-        assert stack.shape == (len(masks), n, n) and stack.dtype == np.float64
+        assert stack.shape == (len(masks), n, n) and stack.dtype == np.uint8
         for mask, a in zip(masks, stack):
-            assert np.array_equal(a, adjacency_matrix(graph_from_mask(n, mask))), (n, mask)
+            g = graph_from_mask(n, mask)
+            assert np.array_equal(a, g._bitmatrix), (n, mask)
+            assert np.array_equal(a, adjacency_matrix(g)), (n, mask)
 
 
 def test_graph6_of_masks_matches_the_decoded_path():
-    # the scan's graph6 comes from the mask bits through the pair table;
-    # it equals the Graph path's string and parses back to the same graph
+    # the scan's graph6 comes from the adjacency stack of the mask bits
+    # through the encoder to_graph6 uses; it equals the Graph path's
+    # string and parses back to the same graph
     rng = random.Random(83)
     for n in range(1, 9):
         masks = _random_masks(rng, n)
-        got = _graph6_of_masks(n, np.array(masks, dtype=np.int64))
+        got = _graph6_text(n, _adjacency_stack(n, np.array(masks, dtype=np.int64)))
         assert len(got) == len(masks)
         for mask, g6 in zip(masks, got):
             g = graph_from_mask(n, mask)
             assert g6 == to_graph6(g), (n, mask)
             assert parse_graph6(g6) == g, (n, mask)
-        assert _graph6_of_masks(n, np.zeros(0, dtype=np.int64)) == []
+        assert _graph6_text(n, _adjacency_stack(n, np.zeros(0, dtype=np.int64))) == []
 
 
 def test_incident_graph6_equals_the_decoded_path():
@@ -435,6 +421,16 @@ def test_enumerate_connected_matches_brute_list():
         assert list(enumerate_connected(n)) == [g for g in brute if brute_connected(g)], n
 
 
+def test_enumerate_connected_order_8_reads_the_packed_bytes():
+    # order 8 has no table: its enumeration reads the level rows that
+    # cover each block, nonzero exactly for the connected masks.  The
+    # first 3,000 graphs run from the star at vertex 0 (mask 127) to
+    # mask 15,323
+    got = [mask_of_graph(g) for g in islice(enumerate_connected(8), 3000)]
+    assert (got[0], got[-1]) == (127, 15323)
+    assert got == [m for m in range(got[-1] + 1) if brute_connected(graph_from_mask(8, m))]
+
+
 def test_enumerate_connected_order_and_guards():
     got = list(enumerate_connected(2))
     assert got == [complete(2)]
@@ -486,11 +482,11 @@ def test_certify_epsilon_only_narrows_the_claim():
     assert certify(k, 1, epsilon=2 * margin, cross_check=False).verdict == VERDICT_INCONCLUSIVE
     # the sharpness example is recognised by structure, whatever epsilon
     assert certify(g, 1, epsilon=0.5).verdict == VERDICT_EXCEPTIONAL
-    # a negative epsilon would widen the claim
-    with pytest.raises(DomainError):
-        certify(complete(5), 1, epsilon=-1e-9)
-    with pytest.raises(DomainError):
-        certify(complete(5), 1, epsilon=float("nan"))
+    # a negative epsilon would widen the claim, a NaN would fail every
+    # comparison, an infinity is not JSON, and a bool is not a tolerance
+    for epsilon in (-1e-9, math.nan, math.inf, float("1e400"), True, False):
+        with pytest.raises(DomainError, match="epsilon must be finite and nonnegative"):
+            certify(complete(5), 1, epsilon=epsilon)
 
 
 def test_certify_cross_check_modes():
@@ -699,18 +695,19 @@ def test_extremal_masks_match_the_pairwise_enumeration():
 
 
 def test_order_7_scan_reads_tables_as_slices(monkeypatch):
-    # up to the table order a chunk is a slice of the component and
-    # level tables, and so is an enumeration block: once the tables are
-    # built, no row reader runs
+    # up to the table order a chunk is a slice of the level table, and
+    # so is an enumeration block: once the tables are built, neither the
+    # level reader nor a component table build runs
     def refuse(*args):
-        raise AssertionError("table read through the row readers")
+        raise AssertionError("table built again instead of sliced")
 
     _scan_tables(7, 0, 0)
-    monkeypatch.setattr(toughcert.verify, "_comps_rows", refuse)
+    monkeypatch.setattr(toughcert.verify, "_comps_table", refuse)
     monkeypatch.setattr(toughcert.verify, "_level_rows", refuse)
     text = "".join(line + "\n" for line in report_lines(verify_theorem(7, 2)))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
-    assert verify_theorem(5, 1, log_curiosities=True, chunk_size=100).ok
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 100)
+    assert verify_theorem(5, 1, log_curiosities=True).ok
     assert sum(1 for _ in enumerate_connected(6)) == 26704
 
 
@@ -872,18 +869,21 @@ def test_verify_theorem_order_7_level_table_reuse(monkeypatch, ts):
     assert built == warmed
 
 
-def test_verify_theorem_order_7_report_bytes_with_large_chunks():
-    # twice the default chunk gives the same report bytes
-    summary = verify_theorem(7, 2, chunk_size=1 << 18)
+def test_verify_theorem_order_7_report_bytes_with_large_chunks(monkeypatch):
+    # twice the chunk gives the same report bytes
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 1 << 18)
+    summary = verify_theorem(7, 2)
     text = "".join(line + "\n" for line in report_lines(summary))
     assert hashlib.sha256(text.encode()).hexdigest() == ORDER_7_REPORT_SHA256[2]
 
 
-def test_verify_theorem_deterministic_reports():
+def test_verify_theorem_deterministic_reports(monkeypatch):
     base = report_lines(verify_theorem(5, 1))
     again = report_lines(verify_theorem(5, 1))
-    chunked = report_lines(verify_theorem(5, 1, chunk_size=100))
-    forked = report_lines(verify_theorem(5, 1, workers=2, chunk_size=64))
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 100)
+    chunked = report_lines(verify_theorem(5, 1))
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 64)
+    forked = report_lines(verify_theorem(5, 1, workers=2))
     assert base == again == chunked == forked
     closing = json.loads(base[-1])
     assert closing["record"] == "summary"
@@ -909,7 +909,8 @@ def test_verify_theorem_guards(monkeypatch):
                 "failures": [], "incidents": []}
 
     monkeypatch.setattr(toughcert.verify, "_scan_chunk", no_scan)
-    assert verify_theorem(8, 1, chunk_size=1 << 28).scope["n"] == 8
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 1 << 28)
+    assert verify_theorem(8, 1).scope["n"] == 8
     assert scanned == [(8, 1, 0, 1 << 28)]
     # and the CLI flag that once enabled it is gone
     with pytest.raises(SystemExit) as exc:
@@ -917,11 +918,11 @@ def test_verify_theorem_guards(monkeypatch):
     assert exc.value.code == 2
 
 
-def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
+def test_verify_theorem_rejects_bad_tolerances_and_workers():
     # a NaN tolerance would make every band test false (a vacuous "ok"
     # scan with a bare NaN in its scope), a negative eps_eq would report
-    # false spectral-bound failures at (5, 1), chunk_size=0 would
-    # reach range() as a zero step, and workers=0 would run serially
+    # false spectral-bound failures at (5, 1), a bool would be reported
+    # as true or false, and workers=0 would run serially
     for kwargs in (
         {"eps_eq": math.nan},
         {"eps_strict": math.nan},
@@ -929,9 +930,8 @@ def test_verify_theorem_rejects_bad_tolerances_and_chunk_size():
         {"eps_strict": -math.inf},
         {"eps_eq": -1.0},
         {"eps_strict": -1e-12},
-        {"chunk_size": 0},
-        {"chunk_size": -4},
-        {"chunk_size": 64.0},
+        {"eps_eq": True},
+        {"eps_strict": False},
         {"workers": 0},
         {"workers": -2},
         {"workers": 2.0},
@@ -971,12 +971,13 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
 
     monkeypatch.setattr(toughcert.verify, "get_context", lambda method: FakeContext())
     serial = report_lines(verify_theorem(5, 1))
+    monkeypatch.setattr(toughcert.verify, "_SCAN_CHUNK", 64)
     for cores, pools in ((64, [16]), (3, [3]), (1, [])):
         # 2^10 masks in chunks of 64, on the cores in the affinity set
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         requested.clear()
         built = _record_table_builds(monkeypatch)
-        capped = verify_theorem(5, 1, workers=10**6, chunk_size=64)
+        capped = verify_theorem(5, 1, workers=10**6)
         assert requested == pools, cores
         assert report_lines(capped) == serial
     # without an affinity call the core count caps the pool
@@ -984,7 +985,7 @@ def test_verify_theorem_caps_the_pool_at_the_chunk_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     requested.clear()
     built = _record_table_builds(monkeypatch)
-    verify_theorem(5, 1, workers=10**6, chunk_size=64)
+    verify_theorem(5, 1, workers=10**6)
     assert requested == [5]
 
 
@@ -1033,7 +1034,6 @@ def test_bool_order_or_count_is_rejected():
         lambda: verify_join_maximizer(True, 1, 1),
         lambda: verify_join_maximizer(4, 1, True),
         lambda: verify_theorem(4, 1, workers=True),
-        lambda: verify_theorem(4, 1, chunk_size=True),
         lambda: JoinCliqueSpec(True, (2,)),
         lambda: JoinCliqueSpec(2, (True,)),
         lambda: Graph(True, (0,)),
