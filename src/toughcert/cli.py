@@ -16,11 +16,12 @@ from typing import Iterator
 
 from .errors import DomainError, Graph6ParseError, SizeLimitError
 from .graphs import Graph, _graph6_records, parse_graph6, to_graph6
-from .spectral import spectral_radius
+from .spectral import _digits, spectral_radius
 from .thresholds import build_extremal, threshold, threshold_cubic
 from .toughness import EXHAUSTIVE_LIMIT, toughness_exact
 from .verify import (
     _maximizer_grid,
+    _round12,
     _theorem_threshold,
     certify,
     verify_quotient_embedding,
@@ -34,10 +35,6 @@ __all__ = ["run", "main"]
 
 # one encoder for every JSON line; json.dumps would build one per record
 _JSON = json.JSONEncoder(sort_keys=True)
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
 
 
 def _input_lines(args) -> Iterator[str]:
@@ -96,7 +93,7 @@ def _cmd_threshold(args) -> int:
             "coefficients": list(coeffs),
         }))
     else:
-        print(f"threshold(t={res.t}, n={res.n}) = {_fmt(res.value)}")
+        print(f"threshold(t={res.t}, n={res.n}) = {_digits(res.value)}")
         print(
             "cubic: x^3 + ({:g})*x^2 + ({:g})*x + ({:g})".format(*coeffs[1:])
         )
@@ -110,8 +107,8 @@ def _cmd_extremal(args) -> int:
         "graph6": to_graph6(g),
         "n": g.n,
         "t": args.t,
-        "lambda1": float(_fmt(lam)),
-        "threshold": float(_fmt(threshold(args.t, args.n).value)),
+        "lambda1": _round12(lam),
+        "threshold": _round12(threshold(args.t, args.n).value),
     }
     if g.n <= EXHAUSTIVE_LIMIT:
         row["toughness"] = str(toughness_exact(g))
@@ -127,7 +124,7 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_spectral_radius(args) -> int:
     for g6, g in _read_graphs(args):
-        print(f"{g6}\t{_fmt(spectral_radius(g))}")
+        print(f"{g6}\t{_digits(spectral_radius(g))}")
     return 0
 
 

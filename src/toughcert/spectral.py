@@ -62,6 +62,13 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
+def _digits(x: float) -> str:
+    """``x`` to the 12 significant digits every report prints: the CLI
+    prints them, ``verify`` serializes them, and ``spectral_radius``
+    stops squaring once a bracket's two ends print alike."""
+    return f"{float(x):.12g}"
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Symmetric 0/1 adjacency matrix as a new float64 array."""
     return g._bitmatrix.astype(float)
@@ -170,7 +177,7 @@ def spectral_radius(g: Graph, *, cuts: tuple[float, ...] = ()) -> float:
         for lo, hi, x, ax in _perron_brackets(a):
             pad = g.n * _UNIT_ROUNDOFF * hi
             lo, hi = lo - pad, hi + pad
-            if f"{lo:.12g}" == f"{hi:.12g}" and not any(lo <= c <= hi for c in cuts):
+            if _digits(lo) == _digits(hi) and not any(lo <= c <= hi for c in cuts):
                 theta = float(np.dot(x, ax)) / float(np.dot(x, x))
                 if lo <= theta <= hi:
                     return theta

@@ -16,8 +16,8 @@ subsets U:
 
 Cuts and their sets V - S are read from arrays cached per order in
 (size, lexicographic) order, so witnesses are the first cut in that
-order.  All comparisons are done in integers, with the ratio keys also
-cached per order, so the reported value is exact.
+order.  The least ratio |S| / c(G - S) is found among floats, which
+order the ratios of orders up to the limit exactly; the value is exact.
 
 ``is_one_over_t_tough`` reads a cut plan cached per (n, t): the cuts
 that can violate t |S| >= c(G - S), their sets V - S, the count each
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -143,16 +143,6 @@ def _cut_order(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return cuts, full ^ cuts, sizes[order]
 
 
-@lru_cache(maxsize=_ORDERS)
-def _ratio_scale(n: int) -> np.ndarray:
-    """Integer keys for the ratios s / c of order ``n``: s / c is
-    s * (L // c) / L with L = lcm(1..n), so ``scale[c]`` = L // c orders
-    them exactly.  Cuts that leave one component (c < 2) get n * L,
-    above every ratio's key."""
-    big = lcm(*range(1, n + 1))
-    return np.array([n * big] * 2 + [big // c for c in range(2, n + 1)], dtype=np.int64)
-
-
 @lru_cache(maxsize=8)
 def _cut_plan(
     n: int, tn: int, td: int
@@ -229,7 +219,9 @@ def toughness_exact(g: Graph) -> ToughnessResult:
         return ToughnessResult(infinite=True)
     cuts, rests, sizes = _cut_order(n)
     counts = _component_counts(g, rests)
-    i = int(np.argmin(sizes * _ratio_scale(n)[counts]))
+    # equal ratios s / c divide to equal floats, distinct ones with
+    # c <= 20 differ by 1/400 or more: the first least float is exact
+    i = int(np.argmin(np.where(counts >= 2, sizes / counts, np.inf)))
     return ToughnessResult(False, int(sizes[i]), int(counts[i]), _witness(cuts[i]))
 
 

@@ -44,7 +44,7 @@ which go through the encoder ``to_graph6`` uses (only ``graphs`` knows
 the graph6 bit order).  Connectivity, for the scan and for
 ``enumerate_connected`` alike, is the packed byte being nonzero.  What
 does not depend on the chunk (the pair table, the bound windows of each
-band, the masks of the pairs at each vertex) is built once per process.
+band, the pairs each vertex avoids) is built once per process.
 Workers split the mask range into chunks; chunk results are merged in
 range order so reports are byte-identical for any worker count.
 
@@ -80,6 +80,7 @@ from .graphs import (
     to_graph6,
 )
 from .spectral import (
+    _digits,
     adjacency_matrix,
     full_spectrum,
     is_equitable,
@@ -124,9 +125,9 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 
 
 def _round12(x: float) -> float:
-    """Floats destined for reports, cut to 12 significant digits so the
-    serialized form is stable."""
-    return float(f"{float(x):.12g}")
+    """Floats destined for reports, cut to the 12 significant digits of
+    ``_digits`` so the serialized form is stable."""
+    return float(_digits(x))
 
 
 # the mask codec, the per-order tables and C7's random graphs ask for a
@@ -203,11 +204,13 @@ class CertificateReport:
 
 def _check_tolerances(**tolerances) -> None:
     """Raise ``DomainError`` unless every tolerance is a finite,
-    nonnegative number and not a bool: a negative one would widen a
-    claim, a NaN would make every comparison false, an infinity is not
-    JSON, and True would be reported as ``true``."""
+    nonnegative int or float and not a bool: a negative one would widen
+    a claim, a NaN would make every comparison false, an infinity or a
+    Fraction is no JSON number, True would be reported as ``true``, and
+    a string or None is no number: the type is checked first."""
     for name, eps in tolerances.items():
-        if isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0):
+        if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+                or not (math.isfinite(eps) and eps >= 0)):
             raise DomainError(f"{name} must be finite and nonnegative")
 
 
@@ -371,7 +374,7 @@ def _clique(r: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _comps_table(r: int) -> np.ndarray:
     """Component counts of every labeled graph of order ``r``, indexed
-    by edge mask, down to c_1 = [1]; they feed the isolation terms.  The
+    by edge mask, down to c_1 = [1], read where a cut is isolated.  The
     masks N | sub << (r - 1) of one order-(r - 1) mask sub form a row,
     one column per neighbour set N of vertex 0.  Vertex 0 joins N into
     one component, as a clique on N does, and an isolated vertex 0 adds
@@ -390,22 +393,13 @@ def _comps_table(r: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-# the level build and the degree counts ask for one vertex at a time
 @lru_cache(maxsize=None)
-def _pairs_avoiding(r: int, v: int) -> int:
-    """Edge mask, in ``graph_from_mask``'s pair order at order ``r``, of
-    the pairs without vertex ``v``."""
-    return sum(1 << e for e, pair in enumerate(_edge_order(r)) if v not in pair)
-
-
-# an order-8 chunk reads the three order-7 terms (6 MB) at a few rows,
-# so they are kept rather than recomputed per chunk
-@lru_cache(maxsize=None)
-def _isolation_term(r: int, size: int, deleted: int) -> np.ndarray:
-    """floor((c - ``size``) / (``size`` + ``deleted``)) for every entry c
-    of the order-``r`` component table (uint8; read only at masks that
-    isolate ``size`` vertices, so c >= ``size``)."""
-    return (_comps_table(r) - size) // (size + deleted)
+def _avoiding(r: int) -> np.ndarray:
+    """(r,) int64 edge masks, in ``graph_from_mask``'s pair order at
+    order ``r``, of the pairs without each vertex.  Read-only."""
+    pairs = _edge_order(r)
+    masks = [sum(1 << e for e, pair in enumerate(pairs) if v not in pair) for v in range(r)]
+    return _kept(np.array(masks, dtype=np.int64))
 
 
 def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
@@ -427,8 +421,9 @@ def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
     short there and are the third kind: vertex 0 is isolated, so the
     level is floor(c(sub - S) / (|S| + d)) over the cuts S >= N of sub,
     with c(sub - S) = c_{r-1}(sub & avoid(S)) - |S|.  That is one term
-    per S over every row, then a largest-superset pass, one vertex at a
-    time, in the layout (N, sub), which transposed starts the rows.
+    per S over every row, gathered and divided in place, then a
+    largest-superset pass, one vertex at a time, in the layout (N, sub),
+    which transposed starts the rows.
 
     The packed read of L(r - 1, 0) at sub | clique[N] is also the
     connectivity: for N != 0 the graph has c_{r-1}(sub | clique[N])
@@ -443,13 +438,17 @@ def _level_rows(r: int, deleted: int, rows: np.ndarray) -> np.ndarray:
     # K1, packed: connected, level 0
     if r == 1:
         return np.ones((rows.size, 1), dtype=np.uint8)
-    avoid = np.array([_pairs_avoiding(r - 1, v) for v in range(r - 1)], dtype=np.int64)
+    avoid = _avoiding(r - 1)
+    comps = _comps_table(r - 1)
     isolating = np.zeros((width, rows.size), dtype=np.uint8)
     for size in range(max(1 - deleted, 0), cap - deleted + 1):
-        term = _isolation_term(r - 1, size, deleted)
         for cut in combinations(range(r - 1), size):
             kept = np.bitwise_and.reduce(avoid[list(cut)], initial=-1)
-            np.take(term, rows & kept, out=isolating[sum(1 << v for v in cut)])
+            # the cut's vertices are isolated at rows & kept, so c >= size
+            term = isolating[sum(1 << v for v in cut)]
+            np.take(comps, rows & kept, out=term)
+            term -= size
+            term //= size + deleted
     for v in range(r - 1):
         pairs = isolating.reshape(width >> (v + 1), 2, 1 << v, rows.size)
         np.maximum(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
@@ -537,14 +536,6 @@ def _adjacency_stack(n: int, masks: np.ndarray) -> np.ndarray:
     return out.reshape(-1, n, n)
 
 
-@lru_cache(maxsize=None)
-def _incident_pairs(n: int) -> np.ndarray:
-    """(n, 1) int64 edge masks of the pairs at each vertex, order ``n``:
-    a graph's degrees are the popcounts of its mask ANDed with them."""
-    everything = (1 << (n * (n - 1) // 2)) - 1
-    return _kept(np.array([[everything ^ _pairs_avoiding(n, v)] for v in range(n)], dtype=np.int64))
-
-
 def _window(inside: np.ndarray) -> tuple[int, int]:
     """(first, last) index where the bool array ``inside`` holds, as
     Python ints, or the empty window (1, 0).  Over an interval that is
@@ -576,11 +567,12 @@ def _bound_windows(n: int, low: float, high: float) -> tuple[tuple[int, int], tu
 def _undecided(n: int, masks: np.ndarray, low: float, high: float = math.inf) -> np.ndarray:
     """Those of the int64 edge ``masks`` whose cheap bounds leave the
     largest eigenvalue possibly in [``low``, ``high``] (``_bound_windows``);
-    degrees are counted only for graphs the edge count leaves in."""
+    degrees are counted only for graphs the edge count leaves in (a mask
+    has no bits past its pairs, so mask & ~avoid(v) are those at v)."""
     (m_lo, m_hi), (d_lo, d_hi) = _bound_windows(n, low, high)
     m = np.bitwise_count(masks)
     masks = masks[(m >= m_lo) & (m <= m_hi)]
-    d = np.bitwise_count(masks & _incident_pairs(n)).max(axis=0)
+    d = np.bitwise_count(masks & ~_avoiding(n)[:, None]).max(axis=0)
     return masks[(d >= d_lo) & (d <= d_hi)]
 
 
@@ -593,7 +585,7 @@ def _extremal_masks(n: int, t: int) -> np.ndarray:
     an edge iff it meets the hub or misses every leaf, so a labeling's
     mask is (everything ^ avoid(hub)) | the AND of avoid(leaf) over its
     leaves."""
-    avoid = np.array([_pairs_avoiding(n, v) for v in range(n)], dtype=np.int64)
+    avoid = _avoiding(n)
     leaves = np.array(list(combinations(range(n), t)), dtype=np.int64)
     missed = np.bitwise_and.reduce(avoid[leaves], axis=1)
     everything = (1 << (n * (n - 1) // 2)) - 1

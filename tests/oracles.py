@@ -107,17 +107,26 @@ def bfs_extremal(g: Graph, t: int) -> bool:
     return all(nbrs[v] & c == c - {v} for c in comps for v in c)
 
 
-def brute_toughness(g: Graph) -> Fraction | None:
-    """None means infinite (complete graph).  No pruning at all."""
+def brute_toughness_witness(g: Graph) -> tuple[int, int, tuple[int, ...]] | None:
+    """(|S|, c(G - S), S) of the first cut S, in (size, lexicographic)
+    order, with the least ratio |S| / c(G - S), compared by cross
+    multiplication; None means infinite (complete graph).  No pruning at
+    all."""
     full = (1 << g.n) - 1
     vertices = [1 << v for v in range(g.n)]
-    best: tuple[int, int] | None = None  # (|S|, c(G - S)) of the least ratio
+    best = None
     for size in range(1, g.n):
         for cut in combinations(vertices, size):
             c = _count_components(g.adj, full - sum(cut))
             if c >= 2 and (best is None or size * best[1] < best[0] * c):
-                best = (size, c)
-    return None if best is None else Fraction(*best)
+                best = (size, c, cut)
+    return None if best is None else (*best[:2], tuple(v.bit_length() - 1 for v in best[2]))
+
+
+def brute_toughness(g: Graph) -> Fraction | None:
+    """None means infinite (complete graph)."""
+    best = brute_toughness_witness(g)
+    return None if best is None else Fraction(*best[:2])
 
 
 def cut_levels(n: int, masks: np.ndarray, smax: int) -> np.ndarray:

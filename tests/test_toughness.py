@@ -22,10 +22,10 @@ from toughcert import (
     toughness_exact,
 )
 from toughcert import toughness
-from toughcert.toughness import _cut_order, _cut_plan, _degrees_rule_out, _ratio_scale
+from toughcert.toughness import _cut_order, _cut_plan, _degrees_rule_out
 from toughcert.verify import _level_table, enumerate_connected, mask_of_graph
 
-from oracles import brute_components, brute_toughness, random_connected_graph
+from oracles import brute_components, brute_toughness, brute_toughness_witness, random_connected_graph
 
 
 def test_complete_graphs_are_infinitely_tough():
@@ -84,7 +84,8 @@ def test_matches_unpruned_oracle_exhaustively_small():
         decided = 0
         for g, level in zip(graphs, levels):
             mine = toughness_exact(g)
-            ref = brute_toughness(g)
+            first = brute_toughness_witness(g)
+            ref = None if first is None else Fraction(*first[:2])
             for t, rule in zip(rule_ts, rules):
                 if _degrees_rule_out(g.adj, rule):
                     assert ref is None or ref >= 1 / t, (n, g.adj, t)
@@ -94,7 +95,9 @@ def test_matches_unpruned_oracle_exhaustively_small():
             if ref is None:
                 assert mine.infinite
             else:
-                assert mine.value() == ref
+                # the unreduced ratio and the witness are the first
+                # least ratio in (size, lexicographic) order
+                assert (mine.numerator, mine.denominator, mine.witness) == first, (n, g.adj)
             for t in ts:
                 ok, witness = is_one_over_t_tough(g, t)
                 assert ok == (ref is None or ref >= 1 / t), (n, g.adj, t)
@@ -126,17 +129,15 @@ def test_matches_unpruned_oracle_random_larger_orders():
 
 
 def test_exact_reads_its_cached_cut_arrays_unchanged():
-    # toughness_exact reads the cuts' sets V - S and the ratio keys
-    # cached per order; a call leaves both as built
+    # toughness_exact reads the cuts' sets V - S cached per order; a
+    # call leaves them as built
     rng = random.Random(101)
     for n in (5, 9, 12):
         cuts, rests, _ = _cut_order(n)
-        scale = _ratio_scale(n).copy()
         for _ in range(3):
             g = random_connected_graph(rng, n, rng.uniform(0.3, 0.8))
             assert toughness_exact(g).value() == brute_toughness(g), n
         assert np.array_equal(rests, ((1 << n) - 1) ^ cuts)
-        assert np.array_equal(_ratio_scale(n), scale)
 
 
 def test_witness_is_first_in_size_then_lexicographic_order():

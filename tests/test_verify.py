@@ -274,13 +274,11 @@ def test_scan_tables_match_the_per_mask_readers():
 
 
 def _record_table_builds(monkeypatch) -> list:
-    """Empty the component table, level table and isolation term caches
-    for the test, and return the list that every later build is appended
-    to."""
+    """Empty the component table and level table caches for the test,
+    and return the list that every later build is appended to."""
     built = []
     build_comps = toughcert.verify._comps_table.__wrapped__
     build_levels = toughcert.verify._level_table.__wrapped__
-    build_terms = toughcert.verify._isolation_term.__wrapped__
 
     # the builds read the tables they start from through the module
     # names, so the whole chain of tables is rebuilt and recorded
@@ -294,14 +292,8 @@ def _record_table_builds(monkeypatch) -> list:
         built.append(("levels", r, deleted))
         return build_levels(r, deleted)
 
-    @lru_cache(maxsize=None)
-    def terms(r, size, deleted):
-        built.append(("terms", r, size, deleted))
-        return build_terms(r, size, deleted)
-
     monkeypatch.setattr(toughcert.verify, "_comps_table", comps)
     monkeypatch.setattr(toughcert.verify, "_level_table", levels)
-    monkeypatch.setattr(toughcert.verify, "_isolation_term", terms)
     return built
 
 
@@ -309,13 +301,14 @@ def test_scan_tables_on_an_empty_range_build_what_an_order_8_chunk_reads(monkeyp
     # the warm-up before a fork reads an empty range; the pool test runs
     # order 5, so here an order-8 chunk after it must build no table.
     # Connectivity comes packed with the levels, so nothing counts the
-    # components of an order-8 graph; the order-7 component table feeds
-    # the isolation terms.  A process that scanned order 7 first reads
-    # the same order-7 level table at order 8.
+    # components of an order-8 graph; the order-8 rows gather the
+    # order-7 component table at the masks that isolate a cut.  A
+    # process that scanned order 7 first reads the same order-7 level
+    # table at order 8.
     built = _record_table_builds(monkeypatch)
     _scan_tables(7, 0, 0)
     _scan_tables(8, 0, 0)
-    assert {("comps", 7), ("levels", 7, 0), ("levels", 7, 1), ("terms", 7, 3, 0)} <= set(built)
+    assert {("comps", 7), ("levels", 7, 0), ("levels", 7, 1)} <= set(built)
     assert ("comps", 8) not in built
     assert len(set(built)) == len(built)
     warmed = list(built)
@@ -483,8 +476,10 @@ def test_certify_epsilon_only_narrows_the_claim():
     # the sharpness example is recognised by structure, whatever epsilon
     assert certify(g, 1, epsilon=0.5).verdict == VERDICT_EXCEPTIONAL
     # a negative epsilon would widen the claim, a NaN would fail every
-    # comparison, an infinity is not JSON, and a bool is not a tolerance
-    for epsilon in (-1e-9, math.nan, math.inf, float("1e400"), True, False):
+    # comparison, an infinity or a Fraction is no JSON number, and a
+    # bool, a string or None is not a tolerance
+    for epsilon in (-1e-9, math.nan, math.inf, float("1e400"), True, False, "0.1", None,
+                    Fraction(1, 10)):
         with pytest.raises(DomainError, match="epsilon must be finite and nonnegative"):
             certify(complete(5), 1, epsilon=epsilon)
 
@@ -922,7 +917,8 @@ def test_verify_theorem_rejects_bad_tolerances_and_workers():
     # a NaN tolerance would make every band test false (a vacuous "ok"
     # scan with a bare NaN in its scope), a negative eps_eq would report
     # false spectral-bound failures at (5, 1), a bool would be reported
-    # as true or false, and workers=0 would run serially
+    # as true or false, a string, None or a Fraction is not a JSON
+    # number, and workers=0 would run serially
     for kwargs in (
         {"eps_eq": math.nan},
         {"eps_strict": math.nan},
@@ -932,6 +928,9 @@ def test_verify_theorem_rejects_bad_tolerances_and_workers():
         {"eps_strict": -1e-12},
         {"eps_eq": True},
         {"eps_strict": False},
+        {"eps_eq": None},
+        {"eps_strict": "1e-9"},
+        {"eps_eq": Fraction(1, 10**9)},
         {"workers": 0},
         {"workers": -2},
         {"workers": 2.0},
